@@ -324,6 +324,8 @@ def cmd_act(args) -> int:
             elem = Poly.from_json(n, payload)
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad element JSON: {exc}")
+        except ZeroDivisionError:
+            raise InputError("bad element JSON: zero denominator")
     family = WeightFamily.unit(nu, window, mu, elem)
     result = apply_operator_family(args.op, family)
     lines = []

@@ -2,11 +2,11 @@
 
 The lowering operator F_i moves one unit of a composition from index i
 to index i+1; E_i moves it back.  Both come in two independent
-realizations: a polynomial-level formula built from antisymmetrization
-against the block difference products, and a module-level formula that
-decomposes an element over the free basis 1, x_k, ..., x_k^m of the
-refined invariant ring and pushes each power through an explicit e/h
-expression.  Agreement of the two routes is part of the test surface,
+realizations: a polynomial-level formula that multiplies by a kernel and
+applies a chain of simple divided differences, and a module-level
+formula that decomposes an element over the free basis 1, x_k, ..., x_k^m
+of the refined invariant ring and pushes each power through an explicit
+e/h expression.  Agreement of the two routes is part of the test surface,
 not an assumption.
 
 Operators on whole weight families (finitely supported sums over
@@ -20,17 +20,7 @@ from __future__ import annotations
 import threading
 
 from .errors import NoSolutionError, NotInvariantError, WindowOverflowError
-from .polynomials import (
-    Poly,
-    Q,
-    QONE,
-    antisymmetrize,
-    e_block,
-    eps_nu,
-    eps_pair,
-    exact_divide,
-    h_block,
-)
+from .polynomials import Poly, Q, QONE, divided_difference, e_block, h_block
 from .quotients import (
     QuotientElement,
     QuotientPresentation,
@@ -105,17 +95,28 @@ class KeySituation:
 
 
 def apply_F_poly(ks: KeySituation, f: Poly) -> Poly:
-    """Lowering operator on invariant polynomials."""
-    kernel = eps_pair(ks.nu, ks.nu_prime) * ks.f_kernel() * f
-    return exact_divide(
-        antisymmetrize(kernel, ks.nu_prime), eps_nu(ks.nu_prime)
-    )
+    """Lowering operator on S_rho-invariant f: d_{k+b-1} ... d_k (f_kernel * f).
+
+    The orbit-sum formula (signed sum over S_nu' of eps_pair * f_kernel * f,
+    over eps_nu(nu')) is d_w0 of S_nu'.  Write w0 = u * w0(S_rho), lengths
+    adding: d_w0(S_rho) strips eps_pair off the S_rho-symmetric f_kernel * f,
+    and d_u is the chain above.
+    """
+    g = ks.f_kernel() * f
+    for j in range(ks.k, ks.k + ks.b):
+        g = divided_difference(g, j)
+    return g
 
 
 def apply_E_poly(ks: KeySituation, f: Poly) -> Poly:
-    """Raising operator on invariant polynomials."""
-    kernel = eps_pair(ks.nu, ks.nu_prime) * ks.e_kernel() * f
-    return exact_divide(antisymmetrize(kernel, ks.nu), eps_nu(ks.nu))
+    """Raising operator on S_rho-invariant f: d_{k-a} ... d_{k-1} (e_kernel * f).
+
+    The coset argument of apply_F_poly, with S_nu in place of S_nu'.
+    """
+    g = ks.e_kernel() * f
+    for j in range(ks.k - 1, ks.k - ks.a - 1, -1):
+        g = divided_difference(g, j)
+    return g
 
 
 # ----------------------------------------------------------------------

@@ -297,31 +297,7 @@ class Poly:
 
 
 # ----------------------------------------------------------------------
-# block structures and the symmetric group of a composition
-
-
-class BlockStructure:
-    """The variable blocks cut out by a composition of n.
-
-    Block ``i`` owns the 1-based variables strictly after the partial sum
-    through ``i - 1`` and up to the partial sum through ``i``.
-    """
-
-    def __init__(self, nu: Composition):
-        self.nu = nu
-        self.n = nu.n
-
-    def block(self, i: int) -> tuple:
-        return tuple(self.nu.block_range(i))
-
-    def blocks(self) -> list:
-        return [self.block(i) for i in self.nu.indices() if self.nu[i] > 0]
-
-    def union(self, indices: Iterable[int]) -> tuple:
-        seen = []
-        for i in indices:
-            seen.extend(self.block(i))
-        return tuple(sorted(seen))
+# the symmetric group of a composition
 
 
 @lru_cache(maxsize=None)
@@ -394,7 +370,7 @@ def antisymmetrize(f: Poly, nu: Composition) -> Poly:
 
 
 # ----------------------------------------------------------------------
-# division
+# division and divided differences
 
 
 def exact_divide(f: Poly, g: Poly) -> Poly:
@@ -416,6 +392,31 @@ def exact_divide(f: Poly, g: Poly) -> Poly:
         quotient[qe] = qc
         rem = rem - Poly.monomial(n, qe, qc) * g
     return Poly(n, quotient)
+
+
+def divided_difference(f: Poly, j: int) -> Poly:
+    """The divided difference (f - s_j f) / (x_j - x_{j+1}), 1-based j.
+
+    Term by term, with no division: for p > q the monomial
+    x_j^p x_{j+1}^q goes to the sum of x_j^{p-1-t} x_{j+1}^{q+t} over
+    t = 0..p-q-1; for p == q it goes to 0, and for p < q to the negative
+    of the image of the swapped monomial.
+    """
+    n = f.n
+    if not 1 <= j < n:
+        raise ValueError(f"divided difference index {j} out of range 1..{n - 1}")
+    out: dict = {}
+    for e, c in f.terms.items():
+        p, q = e[j - 1], e[j]
+        if p == q:
+            continue
+        if p < q:
+            p, q, c = q, p, -c
+        head, tail = e[: j - 1], e[j + 1 :]
+        for t in range(p - q):
+            e2 = head + (p - 1 - t, q + t) + tail
+            out[e2] = out.get(e2, QZERO) + c
+    return Poly(n, {e: c for e, c in out.items() if c != 0}, _clean=True)
 
 
 # ----------------------------------------------------------------------

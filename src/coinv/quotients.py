@@ -426,7 +426,9 @@ class QuotientPresentation:
         self._window = max(nu.parts, default=0)
         self._cache: dict = {}
         self._ckey = None
-        self._verified_above = self.is_zero_algebra or not self.generators
+        # only the zero algebra and P_nu with no variables are finite
+        # without a certificate; an empty generator list is not
+        self._verified_above = self.is_zero_algebra or self.n == 0
         self._lock = threading.RLock()
 
     # -- degree bookkeeping (internal = exponent-sum degrees) ----------

@@ -279,7 +279,7 @@ def test_criterion_08_operator_routes_agree(capsys):
                         ok = False
     conclude(
         capsys, 8,
-        "antisymmetrization and basis-decomposition operators agree, n<=4",
+        "divided-difference and basis-decomposition operators agree, n<=4",
         ok, started, budget=600,
     )
 

@@ -193,6 +193,15 @@ def test_act_bad_inputs(capsys):
     assert code == 2
 
 
+def test_act_zero_denominator_is_input_error(capsys):
+    elem = json.dumps([{"exp": [1, 0], "num": "1", "den": "0"}])
+    code, _, err = run(
+        capsys, ["act", "--op", "", "--nu", "1,1", "--elem", elem]
+    )
+    assert code == 2
+    assert "zero denominator" in err
+
+
 def test_act_word_moves_weight(capsys):
     code, out, _ = run(
         capsys, ["act", "--op", "F_2 F_1", "--nu", "2@1", "--window", "1,3"]

@@ -31,6 +31,7 @@ from coinv.polynomials import (
     eps_nu,
     eps_pair,
     exact_divide,
+    symmetrize,
 )
 from coinv.quotients import presentation
 from coinv.shapes import (
@@ -122,6 +123,37 @@ def test_raising_of_one_vanishes_when_no_room():
 def test_raising_of_one_nontrivial():
     ks = KeySituation(1, comp(1, 1))
     assert apply_E_poly(ks, Poly.one(2)) == Poly.var(2, 1) - Poly.var(2, 2)
+
+
+def test_poly_routes_match_orbit_sum_formula():
+    """The divided-difference chains equal the orbit-sum formula.
+
+    The formula antisymmetrizes eps_pair * kernel * f over the side's block
+    group and divides by the side's difference product; it holds for
+    every S_rho-invariant f, so f is a symmetrized random polynomial.
+    """
+    rng = random.Random(43)
+    checked = 0
+    for n in range(1, 5):
+        for ks in key_situations(n):
+            pair = eps_pair(ks.nu, ks.nu_prime)
+            for _ in range(3):
+                f = Poly.zero(n)
+                for _ in range(4):
+                    exp = tuple(rng.randint(0, 3) for _ in range(n))
+                    c = Q(rng.randint(-5, 5), rng.randint(1, 4))
+                    f = f + Poly.monomial(n, exp, c)
+                f = symmetrize(f, ks.rho)
+                assert apply_F_poly(ks, f) == exact_divide(
+                    antisymmetrize(pair * ks.f_kernel() * f, ks.nu_prime),
+                    eps_nu(ks.nu_prime),
+                )
+                assert apply_E_poly(ks, f) == exact_divide(
+                    antisymmetrize(pair * ks.e_kernel() * f, ks.nu),
+                    eps_nu(ks.nu),
+                )
+                checked += 1
+    assert checked > 100
 
 
 # ----------------------------------------------------------------------

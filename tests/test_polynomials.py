@@ -9,6 +9,7 @@ from coinv.polynomials import (
     Q,
     antisymmetrize,
     block_group,
+    divided_difference,
     e_block,
     e_sym,
     eps_full,
@@ -212,6 +213,60 @@ class TestExactDivide:
                 a = antisymmetrize(random_poly(rng, nu.n), nu)
                 q = exact_divide(a, eps)
                 assert q * eps == a
+
+
+def swap(n, j):
+    """The simple transposition s_j as a permutation of 1..n."""
+    w = list(range(1, n + 1))
+    w[j - 1], w[j] = j + 1, j
+    return tuple(w)
+
+
+class TestDividedDifference:
+    def test_examples(self):
+        assert divided_difference(x(2, 1), 1) == Poly.one(2)
+        assert divided_difference(x(2, 2), 1) == -Poly.one(2)
+        assert divided_difference(x(2, 1) ** 2, 1) == x(2, 1) + x(2, 2)
+        assert divided_difference(x(2, 1) * x(2, 2), 1).is_zero
+        f = x(3, 1) * x(3, 2) ** 3
+        assert divided_difference(f, 2) == x(3, 1) * (
+            x(3, 2) ** 2 + x(3, 2) * x(3, 3) + x(3, 3) ** 2
+        )
+
+    def test_matches_exact_divide(self):
+        rng = random.Random(31)
+        for _ in range(20):
+            n = rng.randint(2, 4)
+            f = random_poly(rng, n, terms=6)
+            for j in range(1, n):
+                expected = exact_divide(
+                    f - f.apply_permutation(swap(n, j)), x(n, j) - x(n, j + 1)
+                )
+                assert divided_difference(f, j) == expected
+
+    def test_square_vanishes(self):
+        rng = random.Random(37)
+        for _ in range(10):
+            n = rng.randint(2, 4)
+            f = random_poly(rng, n, terms=6)
+            for j in range(1, n):
+                assert divided_difference(divided_difference(f, j), j).is_zero
+
+    def test_braid_relations(self):
+        rng = random.Random(41)
+        dd = divided_difference
+        for _ in range(10):
+            n = rng.randint(3, 4)
+            f = random_poly(rng, n, max_deg=4, terms=6)
+            for j in range(1, n - 1):
+                assert dd(dd(dd(f, j), j + 1), j) == dd(dd(dd(f, j + 1), j), j + 1)
+            if n == 4:
+                assert dd(dd(f, 1), 3) == dd(dd(f, 3), 1)
+
+    def test_rejects_bad_index(self):
+        for j in (0, 2):
+            with pytest.raises(ValueError):
+                divided_difference(x(2, 1), j)
 
 
 class TestSymmetricPolynomials:

@@ -412,6 +412,13 @@ def test_non_terminating_custom_presentation_detected():
     assert not pres.contains(e_sym(3, [1, 2, 3], 3))
 
 
+def test_non_terminating_empty_generator_list_detected():
+    # no generators leave all of C[e_1, e_2], which is infinite
+    pres = presentation(comp(2), generators=[], top_degree=0)
+    with pytest.raises(NonTerminatingError):
+        pres.dim()
+
+
 def test_vanishing_window_covers_generator_degrees():
     """Every slice up to n degrees above the top is zero.
 
