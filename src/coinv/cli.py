@@ -169,16 +169,6 @@ def emit(args, lines, data) -> None:
             print(line)
 
 
-def _weights(n: int, window: tuple):
-    """Compositions of n inside the window, one per distinct key."""
-    seen = set()
-    for nu in compositions_of(n, window):
-        if nu.key() in seen:
-            continue
-        seen.add(nu.key())
-        yield nu
-
-
 def _shapes(n: int):
     for mu in partitions_of(n):
         yield Composition(1, list(mu.parts))
@@ -410,7 +400,7 @@ def _suite_ideals_equal(n: int, window: tuple) -> list:
     ok = True
     bad = ""
     for mu in _shapes(n):
-        for nu in _weights(n, window):
+        for nu in compositions_of(n, window):
             gh = tanisaki_generators_h(mu, nu)
             ge = tanisaki_generators_e(mu, nu)
             if not ideals_equal(gh, ge, nu):
@@ -429,7 +419,7 @@ def _suite_dims(n: int, window: tuple, form: str) -> list:
     )
 
     ok_orbit = ok_sym = True
-    for nu in _weights(n, window):
+    for nu in compositions_of(n, window):
         pres = presentation(nu)
         if pres.dim() != _orbit_count(nu):
             ok_orbit = False
@@ -442,7 +432,7 @@ def _suite_dims(n: int, window: tuple, form: str) -> list:
     ok_count = ok_van = ok_top = True
     for mu in _shapes(n):
         lam = transpose(mu)
-        for nu in _weights(n, window):
+        for nu in compositions_of(n, window):
             pres = presentation(nu, mu, form=form)
             d = pres.dim()
             expected = count_column_strict(lam, nu)
@@ -481,7 +471,7 @@ def _suite_hilbert(n: int, window: tuple) -> list:
     ok = True
     bad = ""
     for mu in _shapes(n):
-        for nu in _weights(n, window):
+        for nu in compositions_of(n, window):
             if not is_nonzero(mu, nu):
                 continue
             if not hilbert_identity_check(mu, nu):
@@ -503,7 +493,7 @@ def _center_table(n_max_val: int, form: str) -> tuple:
         window = (1, n)
         for mu in _shapes(n):
             lam = transpose(mu)
-            for nu in _weights(n, window):
+            for nu in compositions_of(n, window):
                 d = presentation(nu, mu, form=form).dim()
                 c = count_column_strict(lam, nu)
                 match = d == c

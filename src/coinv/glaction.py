@@ -537,16 +537,6 @@ def apply_operator_family(word, wf: WeightFamily) -> WeightFamily:
 # reports
 
 
-def _window_weights(n: int, window: tuple, mu=None):
-    """Compositions of n in the window, one per distinct key."""
-    seen = set()
-    for nu in compositions_of(n, window):
-        if nu.key() in seen:
-            continue
-        seen.add(nu.key())
-        yield nu
-
-
 def relation_report(n: int, window: tuple, mu=None) -> Report:
     """Commutation and Serre relations on every basis vector in range."""
     title = f"gl relations, n={n}, window={window}"
@@ -556,7 +546,7 @@ def relation_report(n: int, window: tuple, mu=None) -> Report:
     lo, hi = window
     move_idx = range(lo, hi)  # E_i/F_i use the pair (i, i+1)
     families = []
-    for nu in _window_weights(n, window):
+    for nu in compositions_of(n, window):
         pres = _component_presentation(nu, mu)
         if pres.is_zero_algebra:
             continue
@@ -630,7 +620,7 @@ def ideal_invariance_check(mu, window: tuple) -> Report:
     )
     lo, hi = window
     ok_f = ok_e = True
-    for nu in _window_weights(n, window):
+    for nu in compositions_of(n, window):
         for i in range(lo, hi):
             if nu[i] == 0:
                 continue
@@ -675,7 +665,7 @@ def weight_dim_report(mu, window: tuple) -> Report:
         f"weight dimensions, shape {tuple(mu_c.parts)}, window {window}"
     )
     ok_dim = ok_top = True
-    for nu in _window_weights(n, window):
+    for nu in compositions_of(n, window):
         pres = presentation(nu, mu_c)
         d = pres.dim()
         if d != count_column_strict(lam, nu):

@@ -257,7 +257,7 @@ def enumerate_column_strict(lam: Partition, nu: Composition) -> list:
 
 
 # ----------------------------------------------------------------------
-# Kostka numbers by horizontal-strip growth
+# semistandard tableaux and Kostka numbers by horizontal-strip growth
 
 
 def _horizontal_extensions(shape: tuple, size: int, bound: tuple) -> Iterator[tuple]:
@@ -312,8 +312,35 @@ def kostka(lam: Partition, nu: Composition) -> int:
 
 
 def enumerate_semistandard(lam: Partition, nu: Composition) -> list:
-    """Column-strict fillings that also weakly increase along rows."""
-    return [t for t in enumerate_column_strict(lam, nu) if t.is_row_weak()]
+    """All semistandard fillings of the shape with content ``nu``.
+
+    Grown one letter at a time, like ``kostka``: the boxes holding the
+    i-th smallest entry form a horizontal strip of size ``nu[i]``, and
+    each strip appends that entry to the rows it extends.  Returned
+    sorted lexicographically by row-major entry sequence, the order of
+    ``enumerate_column_strict``.
+    """
+    if lam.n != nu.n:
+        return []
+    target = lam.parts
+    letters = [i for i in nu.indices() if nu[i] > 0]
+    results = []
+
+    def grow(k: int, shape: tuple, rows: list):
+        if k == len(letters):
+            results.append(Tableau(rows))
+            return
+        i = letters[k]
+        for ext in _horizontal_extensions(shape, nu[i], target):
+            grow(
+                k + 1,
+                ext,
+                [row + [i] * (new - old) for row, old, new in zip(rows, shape, ext)],
+            )
+
+    grow(0, (0,) * len(target), [[] for _ in target])
+    results.sort(key=lambda t: tuple(v for row in t.rows for v in row))
+    return results
 
 
 # ----------------------------------------------------------------------
@@ -369,7 +396,9 @@ def kostka_foulkes(tau: Partition, mu: Composition) -> IntPoly:
     """Graded Kostka refinement: sum of t^charge over semistandard fillings.
 
     The content composition is sorted first; the polynomial only depends
-    on the sorted content.
+    on the sorted content.  The fillings come from
+    ``enumerate_semistandard``, grown by one horizontal strip per letter;
+    their order does not affect the sum.
     """
     mu_sorted = sort_to_partition(mu)
     content = Composition(1, mu_sorted.parts)

@@ -335,22 +335,12 @@ def triangle_identity_check(ks: KeySituation) -> bool:
     return True
 
 
-def _window_weights(n: int, window) -> list:
-    seen = set()
-    out = []
-    for nu in compositions_of(n, window):
-        if nu.key() not in seen:
-            seen.add(nu.key())
-            out.append(nu)
-    return out
-
-
 def trace_map_report(n: int, window) -> Report:
     """Trace maps against the Chevalley operators on every basis vector."""
     report = Report(f"trace maps vs operators, n={n}, window={window}")
     lo, hi = window
     ok_f = ok_e = True
-    for nu in _window_weights(n, window):
+    for nu in compositions_of(n, window):
         for i in range(lo, hi):
             if nu[i] == 0:
                 continue
@@ -375,7 +365,7 @@ def adjunction_report(n: int, window) -> Report:
     report = Report(f"adjunction calculus, n={n}, window={window}")
     lo, hi = window
     ok_iso = ok_tri = ok_central = ok_linear = True
-    for nu in _window_weights(n, window):
+    for nu in compositions_of(n, window):
         for i in range(lo, hi):
             if nu[i] == 0:
                 continue

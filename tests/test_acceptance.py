@@ -56,22 +56,12 @@ def conclude(capsys, num, desc, ok, started, budget=None):
         assert elapsed < budget, f"criterion {num:02d} over budget: {elapsed:.1f}s"
 
 
-def weights(n, window):
-    seen = set()
-    out = []
-    for nu in compositions_of(n, window):
-        if nu.key() not in seen:
-            seen.add(nu.key())
-            out.append(nu)
-    return out
-
-
 def shapes(n):
     return [Composition(1, list(mu.parts)) for mu in partitions_of(n)]
 
 
 def key_situations(n, window):
-    for nu in weights(n, window):
+    for nu in compositions_of(n, window):
         for i in range(window[0], window[1]):
             if nu[i] > 0:
                 yield KeySituation(i, nu)
@@ -118,7 +108,7 @@ def shape_cut_sweep():
     for n in range(1, 5):
         for mu in shapes(n):
             lam = transpose(mu)
-            for nu in weights(n, WINDOW):
+            for nu in compositions_of(n, WINDOW):
                 pres = presentation(nu, mu)
                 d = pres.dim()
                 rows.append(
@@ -166,7 +156,7 @@ def test_criterion_02_coinvariant_dimensions(capsys):
     for n in range(1, 6):
         regular = Composition(1, [1] * n)
         ok = ok and presentation(regular).dim() == factorial(n)
-        for nu in weights(n, (1, n)):
+        for nu in compositions_of(n, (1, n)):
             orbit = factorial(n)
             for p in nu.parts:
                 orbit //= factorial(p)
@@ -184,7 +174,7 @@ def test_criterion_03_dimension_count_formula(capsys):
     started = time.monotonic()
     ok = all(row["dim"] == row["count"] for row in shape_cut_sweep())
     rng = random.Random(20260823)
-    pool = [(mu, nu) for mu in shapes(5) for nu in weights(5, (1, 5))]
+    pool = [(mu, nu) for mu in shapes(5) for nu in compositions_of(5, (1, 5))]
     sample = rng.sample(pool, 55)
     for mu, nu in sample:
         d = presentation(nu, mu).dim()
@@ -212,7 +202,7 @@ def test_criterion_05_generator_forms_agree(capsys):
     ok = True
     for n in range(1, 5):
         for mu in shapes(n):
-            for nu in weights(n, WINDOW):
+            for nu in compositions_of(n, WINDOW):
                 gh = tanisaki_generators_h(mu, nu)
                 ge = tanisaki_generators_e(mu, nu)
                 if not ideals_equal(gh, ge, nu):

@@ -47,18 +47,8 @@ def comp(*parts):
     return Composition(1, list(parts))
 
 
-def window_weights(n, window):
-    seen = set()
-    out = []
-    for nu in compositions_of(n, window):
-        if nu.key() not in seen:
-            seen.add(nu.key())
-            out.append(nu)
-    return out
-
-
 def key_situations(n):
-    for nu in window_weights(n, (1, n)):
+    for nu in compositions_of(n, (1, n)):
         for i in range(1, n):
             if nu[i] > 0:
                 yield KeySituation(i, nu)
@@ -456,7 +446,7 @@ def test_hilbert_identity_small_sweep():
     for n in (1, 2, 3):
         for mu in partitions_of(n):
             mu_c = Composition(1, list(mu.parts))
-            for nu in window_weights(n, (1, 3)):
+            for nu in compositions_of(n, (1, 3)):
                 if not presentation(nu, mu_c).is_zero_algebra:
                     assert hilbert_identity_check(mu_c, nu)
 
@@ -471,7 +461,7 @@ def test_extreme_weight_spaces_are_lines():
     for mu in partitions_of(3):
         mu_c = Composition(1, list(mu.parts))
         lam = transpose(mu_c)
-        for nu in window_weights(3, (1, 3)):
+        for nu in compositions_of(3, (1, 3)):
             if nu.sorted_partition() != lam:
                 continue
             pres = presentation(nu, mu_c)

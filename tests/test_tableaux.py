@@ -23,6 +23,26 @@ def comps(n, width=None):
             yield c
 
 
+def _mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _exact_div(a, b):
+    """Quotient of integer polynomials by a monic divisor; asserts no remainder."""
+    a = list(a)
+    q = [0] * (len(a) - len(b) + 1)
+    for k in range(len(q) - 1, -1, -1):
+        q[k] = a[k + len(b) - 1]
+        for j, y in enumerate(b):
+            a[k + j] -= q[k] * y
+    assert not any(a), "division not exact"
+    return q
+
+
 class TestIntPoly:
     def test_trim_and_zero(self):
         assert IntPoly([1, 2, 0, 0]).coeffs == (1, 2)
@@ -121,6 +141,20 @@ class TestEnumerate:
                     assert len(set(got)) == len(got)
 
 
+class TestEnumerateSemistandard:
+    def test_matches_column_strict_filter(self):
+        # reference route: the definition, with the order included
+        for n in range(0, 6):
+            windows = [(1, max(n, 1))] + [(lo, lo + n) for lo in (-2, 0, 3)]
+            for window in windows:
+                for lam in partitions_of(n):
+                    for nu in compositions_of(n, window):
+                        want = [
+                            t for t in enumerate_column_strict(lam, nu) if t.is_row_weak()
+                        ]
+                        assert enumerate_semistandard(lam, nu) == want, (lam, nu)
+
+
 class TestKostka:
     def test_examples(self):
         assert kostka(Partition([3, 1]), Composition(1, [1, 2, 1])) == 2
@@ -198,6 +232,20 @@ class TestKostkaFoulkes:
                 for mu in comps(n):
                     kf = kostka_foulkes(tau, mu)
                     assert kf.evaluate(1) == kostka(tau, mu)
+
+    def test_standard_content_hook_formula(self):
+        # t^{n(lam')} [n]_t! / prod over boxes of [h(x)]_t (Macdonald III.6, Ex. 2)
+        for n in range(0, 8):
+            for lam in partitions_of(n):
+                cols = lam.transpose().parts
+                num = [0] * sum((j - 1) * c for j, c in enumerate(cols, 1)) + [1]
+                for k in range(1, n + 1):
+                    num = _mul(num, [1] * k)
+                for r, row in enumerate(lam.parts):
+                    for c in range(row):
+                        hook = row - c + cols[c] - r - 1
+                        num = _exact_div(num, [1] * hook)
+                assert kostka_foulkes(lam, Composition(1, [1] * n)) == IntPoly(num), lam
 
     def test_content_sorted_first(self):
         a = kostka_foulkes(Partition([3, 1]), Composition(1, [1, 2, 1]))
