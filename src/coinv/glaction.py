@@ -17,7 +17,7 @@ raises WindowOverflowError rather than truncating.
 
 from __future__ import annotations
 
-import threading
+from functools import lru_cache
 
 from .errors import NoSolutionError, NotInvariantError, WindowOverflowError
 from .polynomials import Poly, Q, QONE, divided_difference, e_block, h_block
@@ -27,8 +27,8 @@ from .quotients import (
     _blocks_of,
     _canonical_exps,
     _coordinatize,
+    _Echelon,
     _orbit_poly,
-    _row_sub,
     ensure_block_invariant,
     presentation,
     tanisaki_generators_h,
@@ -39,6 +39,7 @@ from .shapes import (
     compositions_of,
     partitions_of,
     quotient_top_degree,
+    sort_to_partition,
     transpose,
 )
 from .tableaux import count_column_strict, kostka, kostka_foulkes
@@ -123,61 +124,39 @@ def apply_E_poly(ks: KeySituation, f: Poly) -> Poly:
 # free-module decomposition over one side of a key situation
 
 
-_DECOMP_CACHE: dict = {}
-_DECOMP_LOCK = threading.Lock()
+@lru_cache(maxsize=None)
+def _decomp_system(nu: Composition, i: int, side: str, deg: int):
+    """Tagged echelon of the power basis of one side in one degree slice.
 
-
-def _decomp_system(ks: KeySituation, side: str, deg: int):
-    """Echelon with combination tracking for one degree slice.
-
-    Columns of the system are x_k^r times the orbit-sum basis vectors
-    of the side's invariant ring in complementary degree; they span the
-    degree slice of the refined invariant ring freely.
+    The power basis is x_k^r times the orbit-sum basis vectors of the
+    side's invariant ring in complementary degree; it spans the degree
+    slice of the refined invariant ring freely, so the system is square.
+    Unknown u enters as its coordinates on the slice columns plus one tag
+    entry 1 at column ncols + u.  Freeness puts every pivot on a slice
+    column, so reducing f leaves minus its coefficients on the tags.
+    Returns (echelon, unknowns, col_of, rho_blocks, base_blocks), where
+    unknown u is the pair (r, canonical exponent of the orbit sum).
     """
+    ks = KeySituation(i, nu)
     base = ks.nu if side == "nu" else ks.nu_prime
     r_max = ks.a if side == "nu" else ks.b
-    key = (ks.nu.key(), ks.i, side, deg)
-    with _DECOMP_LOCK:
-        cached = _DECOMP_CACHE.get(key)
-    if cached is not None:
-        return cached
     n = ks.n
     rho_blocks = _blocks_of(ks.rho)
     base_blocks = _blocks_of(base)
-    rho_exps = _canonical_exps(rho_blocks, n, deg)
-    col_of = {e: j for j, e in enumerate(rho_exps)}
+    col_of = {e: j for j, e in enumerate(_canonical_exps(rho_blocks, n, deg))}
     xk = Poly.var(n, ks.k)
-    pivots: dict = {}
+    ech = _Echelon()
     unknowns = []
     for r in range(0, min(r_max, deg) + 1):
         power = xk**r
         for mexp in _canonical_exps(base_blocks, n, deg - r):
-            vec_poly = power * _orbit_poly(base_blocks, n, mexp)
-            row = _coordinatize(vec_poly, col_of, rho_blocks)
-            combo = {len(unknowns): QONE}
+            row = _coordinatize(
+                power * _orbit_poly(base_blocks, n, mexp), col_of, rho_blocks
+            )
+            row.append((len(col_of) + len(unknowns), QONE))
             unknowns.append((r, mexp))
-            while row:
-                col, coef = row[0]
-                piv = pivots.get(col)
-                if piv is None:
-                    inv = QONE / coef
-                    pivots[col] = (
-                        [(c, v * inv) for c, v in row],
-                        {u: v * inv for u, v in combo.items()},
-                    )
-                    break
-                prow, pcombo = piv
-                row = _row_sub(row, coef, prow)
-                for u, v in pcombo.items():
-                    nv = combo.get(u, 0) - coef * v
-                    if nv:
-                        combo[u] = nv
-                    else:
-                        combo.pop(u, None)
-    system = (pivots, unknowns, col_of, rho_blocks, base_blocks)
-    with _DECOMP_LOCK:
-        _DECOMP_CACHE.setdefault(key, system)
-        return _DECOMP_CACHE[key]
+            ech.insert(row)
+    return ech, tuple(unknowns), col_of, rho_blocks, base_blocks
 
 
 def decompose_over(ks: KeySituation, f, side: str) -> list:
@@ -202,31 +181,18 @@ def decompose_over(ks: KeySituation, f, side: str) -> list:
     n = ks.n
     acc = [dict() for _ in range(r_max + 1)]
     for deg, comp in f.homogeneous_components().items():
-        pivots, unknowns, col_of, rho_blocks, bblocks = _decomp_system(
-            ks, side, deg
+        ech, unknowns, col_of, rho_blocks, bblocks = _decomp_system(
+            ks.nu, ks.i, side, deg
         )
-        row = _coordinatize(comp, col_of, rho_blocks)
-        combo: dict = {}
-        while row:
-            col, coef = row[0]
-            piv = pivots.get(col)
-            if piv is None:
-                raise NoSolutionError(
-                    "no decomposition over the power basis exists"
-                )
-            prow, pcombo = piv
-            row = _row_sub(row, coef, prow)
-            for u, v in pcombo.items():
-                nv = combo.get(u, 0) + coef * v
-                if nv:
-                    combo[u] = nv
-                else:
-                    combo.pop(u, None)
-        for u, v in combo.items():
-            r, mexp = unknowns[u]
+        ncols = len(col_of)
+        red = ech.reduce(_coordinatize(comp, col_of, rho_blocks))
+        if red and red[0][0] < ncols:
+            raise NoSolutionError("no decomposition over the power basis exists")
+        for col, v in red:
+            r, mexp = unknowns[col - ncols]
             orbit = _orbit_poly(bblocks, n, mexp)
             for e, c in orbit.terms.items():
-                cur = acc[r].get(e, 0) + v * c
+                cur = acc[r].get(e, 0) - v * c
                 if cur:
                     acc[r][e] = cur
                 else:
@@ -331,14 +297,6 @@ def push_p_prime(ks: KeySituation, f) -> QuotientElement:
 # single-component operator application, memoized
 
 
-_OP_MEMO: dict = {}
-_OP_LOCK = threading.Lock()
-
-
-def _component_presentation(nu: Composition, mu):
-    return presentation(nu) if mu is None else presentation(nu, mu)
-
-
 def apply_D(i: int, nu: Composition, z: QuotientElement) -> QuotientElement:
     """Diagonal operator: multiplication by the weight entry at i."""
     return z * Q(nu[i])
@@ -352,35 +310,26 @@ def _apply_component(op: str, i: int, nu: Composition, z: QuotientElement):
     """
     if op == "D":
         return nu, apply_D(i, nu, z)
-    mu = z.pres.mu
-    mu_key = None if mu is None else tuple(mu.parts)
-    memo_key = (op, i, mu_key, nu.key(), z.rep)
-    with _OP_LOCK:
-        hit = _OP_MEMO.get(memo_key)
-    if hit is not None:
-        target_nu, rep = hit
-        return target_nu, _component_presentation(target_nu, mu).normal_form(rep)
+    return _component_image(op, i, nu, z.pres.mu, z.rep)
+
+
+@lru_cache(maxsize=None)
+def _component_image(op: str, i: int, nu: Composition, mu, rep: Poly):
     if op == "F":
         if nu[i] == 0:
             return None
         ks = KeySituation(i, nu)
         target_nu = ks.nu_prime
-        image = _component_presentation(target_nu, mu).normal_form(
-            apply_F_poly(ks, z.rep)
-        )
+        image = apply_F_poly(ks, rep)
     elif op == "E":
         if nu[i + 1] == 0:
             return None
         ks = KeySituation(i, nu.raise_at(i))
         target_nu = ks.nu
-        image = _component_presentation(target_nu, mu).normal_form(
-            apply_E_poly(ks, z.rep)
-        )
+        image = apply_E_poly(ks, rep)
     else:
         raise ValueError(f"unknown operator {op!r}")
-    with _OP_LOCK:
-        _OP_MEMO.setdefault(memo_key, (target_nu, image.rep))
-    return target_nu, image
+    return target_nu, presentation(target_nu, mu).normal_form(image)
 
 
 # ----------------------------------------------------------------------
@@ -399,6 +348,9 @@ class WeightFamily:
     def __init__(self, n: int, window: tuple, mu=None, components=None):
         self.n = n
         self.window = (int(window[0]), int(window[1]))
+        # the shape as presentation() stores it: parts sorted, from 1
+        if mu is not None:
+            mu = Composition(1, sort_to_partition(mu).parts)
         self.mu = mu
         comps = {}
         for nu, z in (components or {}).items():
@@ -420,7 +372,7 @@ class WeightFamily:
     @classmethod
     def unit(cls, nu: Composition, window: tuple, mu=None, elem=None):
         """Family supported at one weight; elem defaults to 1."""
-        pres = _component_presentation(nu, mu)
+        pres = presentation(nu, mu)
         if elem is None:
             elem = pres.one()
         elif isinstance(elem, Poly):
@@ -458,11 +410,7 @@ class WeightFamily:
         )
 
     def _compat(self, other: "WeightFamily") -> None:
-        if self.n != other.n or self.window != other.window:
-            raise ValueError("families from different settings")
-        mu_a = None if self.mu is None else tuple(self.mu.parts)
-        mu_b = None if other.mu is None else tuple(other.mu.parts)
-        if mu_a != mu_b:
+        if (self.n, self.window, self.mu) != (other.n, other.window, other.mu):
             raise ValueError("families from different settings")
 
     def apply(self, op: str, i: int) -> "WeightFamily":
@@ -547,7 +495,7 @@ def relation_report(n: int, window: tuple, mu=None) -> Report:
     move_idx = range(lo, hi)  # E_i/F_i use the pair (i, i+1)
     families = []
     for nu in compositions_of(n, window):
-        pres = _component_presentation(nu, mu)
+        pres = presentation(nu, mu)
         if pres.is_zero_algebra:
             continue
         for d in range(0, (pres.top_degree or 0) + 1, 2):
@@ -628,8 +576,7 @@ def ideal_invariance_check(mu, window: tuple) -> Report:
             src = presentation(nu, mu_c)
             dst = presentation(ks.nu_prime, mu_c)
             cap = max(
-                (g.degree() // 2 for g in src.generators if not g.is_zero),
-                default=0,
+                (g.degree() // 2 for g in src.generators), default=0
             )
             blocks = _blocks_of(nu)
             for g in tanisaki_generators_h(mu_c, nu):
@@ -641,8 +588,7 @@ def ideal_invariance_check(mu, window: tuple) -> Report:
                             ok_f = False
             blocks_p = _blocks_of(ks.nu_prime)
             cap_p = max(
-                (g.degree() // 2 for g in dst.generators if not g.is_zero),
-                default=0,
+                (g.degree() // 2 for g in dst.generators), default=0
             )
             for g in tanisaki_generators_h(mu_c, ks.nu_prime):
                 gd = g.degree() // 2

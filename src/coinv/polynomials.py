@@ -23,7 +23,7 @@ from .shapes import Composition
 
 try:
     from gmpy2 import mpq as Q
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+except ImportError:  # gmpy2 is the optional "fast" extra
     from fractions import Fraction as Q
 
 QZERO = Q(0)

@@ -7,19 +7,22 @@ orbit-sum monomial basis of P_nu in that degree, a sparse echelon of the
 ideal's degree slice, and the complement (non-pivot) columns which serve
 as the canonical graded basis of the quotient.
 
-The echelon pivots on the smallest column in the global graded-lex
-order.  Row supply happens in two phases: first a near-triangular
-accelerator family (complete symmetric polynomials on block-prefix
-variable sets, which always lie in the base coinvariant ideal), then
-products of the actual generators, which alone span the degree slice.
-Insertion stops early once the echelon reaches full rank.
+Every ideal slice is built by the one cached function ``_slice``, keyed
+on the variable blocks and the generator supply, so presentations over
+translated or zero-padded compositions share their slices.  ``_Echelon``
+is the only elimination in the package; it pivots on the smallest
+column in the global graded-lex order.  Row supply happens in two
+phases: first a near-triangular accelerator family (complete symmetric
+polynomials on block-prefix variable sets, which always lie in the base
+coinvariant ideal), then products of the actual generators, which alone
+span the degree slice.  Insertion stops early once the echelon reaches
+full rank.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import threading
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -330,10 +333,6 @@ class _DegreeData:
         self.basis_cols = basis_cols
 
 
-# ----------------------------------------------------------------------
-# presentations
-
-
 def _coordinatize(f: Poly, col_of: dict, blocks: tuple) -> list:
     """Coefficients of an invariant polynomial on the orbit-sum basis.
 
@@ -345,6 +344,34 @@ def _coordinatize(f: Poly, col_of: dict, blocks: tuple) -> list:
         if _is_canonical(exp, blocks):
             vec[col_of[exp]] = c
     return sorted(vec.items())
+
+
+@lru_cache(maxsize=None)
+def _slice(blocks: tuple, n: int, supply: tuple, d: int) -> _DegreeData:
+    """Echelon of the degree-d slice of the ideal generated by ``supply``.
+
+    Rows are generator times orbit-sum products, fed in supply order
+    until the echelon reaches full rank; a constant generator fills
+    every column by itself.
+    """
+    exps = _canonical_exps(blocks, n, d)
+    col_of = {e: i for i, e in enumerate(exps)}
+    ech = _Echelon()
+    products = (
+        g * _orbit_poly(blocks, n, mexp)
+        for g in supply
+        for mexp in _canonical_exps(blocks, n, d - g.degree() // 2)
+    )
+    for f in products:
+        if ech.rank == len(exps):
+            break
+        ech.insert(_coordinatize(f, col_of, blocks))
+    basis_cols = tuple(i for i in range(len(exps)) if i not in ech.pivots)
+    return _DegreeData(exps, col_of, ech, basis_cols)
+
+
+# ----------------------------------------------------------------------
+# presentations
 
 
 @lru_cache(maxsize=None)
@@ -363,32 +390,18 @@ def _base_supply(nu_key: tuple) -> tuple:
     n = nu.n
     blocks = _blocks_of(nu)
     prefixes = sorted({stop for _, stop in blocks})
-    family = [
+    family = tuple(
         h_sym(n, tuple(range(1, c + 1)), n - c + 1) for c in prefixes
-    ]
+    )
     if not family:
         return ()
     extras = []
     for r in range(1, n + 1):
-        exps = _canonical_exps(blocks, n, r)
-        col_of = {e: i for i, e in enumerate(exps)}
-        ech = _Echelon()
-        ncols = len(exps)
-        for g in family:
-            gd = g.degree() // 2
-            if gd > r:
-                continue
-            for mexp in _canonical_exps(blocks, n, r - gd):
-                if ech.rank == ncols:
-                    break
-                row = _coordinatize(
-                    g * _orbit_poly(blocks, n, mexp), col_of, blocks
-                )
-                ech.insert(row)
+        data = _slice(blocks, n, family, r)
         target = e_sym(n, range(1, n + 1), r)
-        if ech.reduce(_coordinatize(target, col_of, blocks)):
+        if data.echelon.reduce(_coordinatize(target, data.col_of, blocks)):
             extras.append(target)
-    return tuple(family + extras)
+    return family + tuple(extras)
 
 
 class QuotientPresentation:
@@ -407,7 +420,8 @@ class QuotientPresentation:
         self.nu = nu
         self.n = nu.n
         self.mu = mu
-        self.generators = list(generators)
+        # a zero generator generates nothing
+        self.generators = [g for g in generators if not g.is_zero]
         self.label = label or f"quotient over {nu!r}"
         self._blocks = _blocks_of(nu)
         self._accelerated = accelerated
@@ -425,11 +439,9 @@ class QuotientPresentation:
         # vanishing certificate length; see _verify_vanishing
         self._window = max(nu.parts, default=0)
         self._cache: dict = {}
-        self._ckey = None
         # only the zero algebra and P_nu with no variables are finite
         # without a certificate; an empty generator list is not
         self._verified_above = self.is_zero_algebra or self.n == 0
-        self._lock = threading.RLock()
 
     # -- degree bookkeeping (internal = exponent-sum degrees) ----------
 
@@ -450,54 +462,12 @@ class QuotientPresentation:
 
     # -- echelon construction ------------------------------------------
 
-    def _content_key(self) -> tuple:
-        """Identity of the degree slices: blocks plus supply content.
-
-        Presentations over translated or zero-padded compositions have
-        the same variable blocks and the same generator polynomials, so
-        their per-degree echelon data is interchangeable and shared.
-        """
-        key = self._ckey
-        if key is None:
-            supply = tuple(
-                (g.n, tuple(sorted(g.terms.items())))
-                for g in self._supply()
-            )
-            key = (self._blocks, self.is_zero_algebra, supply)
-            self._ckey = key
-        return key
-
     def _degree_data(self, d: int) -> _DegreeData:
-        with self._lock:
-            data = self._cache.get(d)
-        if data is not None:
-            return data
-        share = (self._content_key(), d)
-        with _SHARE_LOCK:
-            data = _SHARED_DEGREE.get(share)
+        data = self._cache.get(d)
         if data is None:
-            data = self._build_degree_data(d)
-            with _SHARE_LOCK:
-                data = _SHARED_DEGREE.setdefault(share, data)
-        with self._lock:
+            data = _slice(self._blocks, self.n, self._supply(), d)
             self._cache[d] = data
         return data
-
-    def _build_degree_data(self, d: int) -> _DegreeData:
-        exps = _canonical_exps(self._blocks, self.n, d)
-        col_of = {e: i for i, e in enumerate(exps)}
-        ech = _Echelon()
-        ncols = len(exps)
-        if ncols and not self.is_zero_algebra:
-            self._fill_echelon(d, exps, col_of, ech)
-        elif ncols:
-            # zero algebra: every column is a pivot of the full ideal
-            for i, e in enumerate(exps):
-                ech.pivots[i] = [(i, 1)]
-        basis_cols = tuple(
-            i for i in range(ncols) if i not in ech.pivots
-        )
-        return _DegreeData(exps, col_of, ech, basis_cols)
 
     def _supply(self) -> tuple:
         """Generators actually fed to the echelon.
@@ -515,23 +485,6 @@ class QuotientPresentation:
         if self.mu is None:
             return base
         return base + tuple(self.generators)
-
-    def _coordinatize(self, f: Poly, col_of: dict) -> list:
-        return _coordinatize(f, col_of, self._blocks)
-
-    def _fill_echelon(self, d: int, exps, col_of, ech: _Echelon) -> None:
-        ncols = len(exps)
-        for g in self._supply():
-            gd = g.degree() // 2
-            if gd > d:
-                continue
-            for mexp in _canonical_exps(self._blocks, self.n, d - gd):
-                if ech.rank == ncols:
-                    return
-                row = self._coordinatize(
-                    g * _orbit_poly(self._blocks, self.n, mexp), col_of
-                )
-                ech.insert(row)
 
     # -- public queries -------------------------------------------------
 
@@ -562,18 +515,17 @@ class QuotientPresentation:
         the top therefore certifies every higher degree, whatever the
         generators of the ideal are.
         """
-        with self._lock:
-            if self._verified_above:
-                return
-            top = self._top_int()
-            for w in range(1, self._window + 1):
-                data = self._degree_data(top + w)
-                if data.basis_cols:
-                    raise NonTerminatingError(
-                        f"{self.label}: degree {2 * (top + w)} should vanish "
-                        f"but has dimension {len(data.basis_cols)}"
-                    )
-            self._verified_above = True
+        if self._verified_above:
+            return
+        top = self._top_int()
+        for w in range(1, self._window + 1):
+            data = self._degree_data(top + w)
+            if data.basis_cols:
+                raise NonTerminatingError(
+                    f"{self.label}: degree {2 * (top + w)} should vanish "
+                    f"but has dimension {len(data.basis_cols)}"
+                )
+        self._verified_above = True
 
     def dim(self) -> int:
         if self.is_zero_algebra:
@@ -621,7 +573,7 @@ class QuotientPresentation:
                 self._verify_vanishing()
                 continue
             data = self._degree_data(di)
-            vec = self._coordinatize(comp, data.col_of)
+            vec = _coordinatize(comp, data.col_of, self._blocks)
             red = data.echelon.reduce(vec)
             for col, coef in red:
                 orbit = _orbit_poly(self._blocks, self.n, data.exps[col])
@@ -709,14 +661,6 @@ class QuotientElement:
 # presentation factory
 
 
-_CACHE: dict = {}
-_CACHE_LOCK = threading.Lock()
-
-# degree slices shared between content-identical presentations
-_SHARED_DEGREE: dict = {}
-_SHARE_LOCK = threading.Lock()
-
-
 def presentation(
     nu: Composition,
     mu=None,
@@ -734,48 +678,41 @@ def presentation(
         return QuotientPresentation(
             nu, generators, top_degree=top_degree, label="custom"
         )
-    if mu is not None:
-        mu_parts = tuple(sort_to_partition(mu).parts)
-        key = (nu.key(), mu_parts, form)
-    else:
-        key = (nu.key(), None, "")
-    with _CACHE_LOCK:
-        pres = _CACHE.get(key)
-    if pres is not None:
-        return pres
     if mu is None:
-        gens = coinvariant_generators(nu)
-        pres = QuotientPresentation(
+        return _standard_presentation(nu, None, "")
+    return _standard_presentation(nu, tuple(sort_to_partition(mu).parts), form)
+
+
+@lru_cache(maxsize=None)
+def _standard_presentation(nu: Composition, mu_parts, form: str):
+    if mu_parts is None:
+        return QuotientPresentation(
             nu,
-            gens,
+            coinvariant_generators(nu),
             top_degree=coinvariant_top_degree(nu),
             accelerated=True,
             label=f"coinvariants of {nu!r}",
         )
+    mu_c = Composition(1, mu_parts)
+    if form == "h":
+        gens = tanisaki_generators_h(mu_c, nu)
+    elif form == "e":
+        gens = tanisaki_generators_e(mu_c, nu)
     else:
-        mu_c = mu if isinstance(mu, Composition) else Composition(1, sort_to_partition(mu).parts)
-        if form == "h":
-            gens = tanisaki_generators_h(mu_c, nu)
-        elif form == "e":
-            gens = tanisaki_generators_e(mu_c, nu)
-        else:
-            raise ValueError(f"unknown form {form!r}")
-        lam = transpose(mu_c)
-        if dominates(lam, nu.sorted_partition()):
-            top = quotient_top_degree(nu, mu_c)
-        else:
-            top = None  # zero algebra; generators contain a constant
-        pres = QuotientPresentation(
-            nu,
-            gens,
-            mu=mu_c,
-            top_degree=top,
-            accelerated=True,
-            label=f"shape-cut quotient {lam.parts} over {nu!r}",
-        )
-    with _CACHE_LOCK:
-        _CACHE.setdefault(key, pres)
-        return _CACHE[key]
+        raise ValueError(f"unknown form {form!r}")
+    lam = transpose(mu_c)
+    if dominates(lam, nu.sorted_partition()):
+        top = quotient_top_degree(nu, mu_c)
+    else:
+        top = None  # zero algebra; generators contain a constant
+    return QuotientPresentation(
+        nu,
+        gens,
+        mu=mu_c,
+        top_degree=top,
+        accelerated=True,
+        label=f"shape-cut quotient {lam.parts} over {nu!r}",
+    )
 
 
 def is_nonzero(mu, nu: Composition) -> bool:

@@ -6,6 +6,7 @@ from coinv.errors import NoSolutionError, WindowOverflowError
 from coinv.glaction import (
     KeySituation,
     WeightFamily,
+    _decomp_system,
     apply_D,
     apply_E_oracle,
     apply_E_poly,
@@ -160,18 +161,43 @@ def test_decompose_matches_worked_example():
 
 def test_decompose_reconstructs_both_sides():
     rng = random.Random(7)
-    for ks in key_situations(3):
-        xk = Poly.var(3, ks.k)
-        rho_pres = presentation(ks.rho)
-        for z in graded_vectors(rho_pres):
-            f = z.rep * Q(rng.randint(1, 5))
-            for side, r_max in (("nu", ks.a), ("nu_prime", ks.b)):
-                coeffs = decompose_over(ks, f, side)
-                assert len(coeffs) == r_max + 1
-                rebuilt = Poly.zero(3)
-                for r, zr in enumerate(coeffs):
-                    rebuilt = rebuilt + zr * xk**r
-                assert rebuilt == f
+    for n in (3, 4):
+        for ks in key_situations(n):
+            xk = Poly.var(n, ks.k)
+            rho_pres = presentation(ks.rho)
+            for z in graded_vectors(rho_pres):
+                f = z.rep * Q(rng.randint(1, 5))
+                for side, r_max in (("nu", ks.a), ("nu_prime", ks.b)):
+                    coeffs = decompose_over(ks, f, side)
+                    assert len(coeffs) == r_max + 1
+                    rebuilt = Poly.zero(n)
+                    for r, zr in enumerate(coeffs):
+                        rebuilt = rebuilt + zr * xk**r
+                    assert rebuilt == f
+
+
+def test_power_basis_systems_are_free():
+    """Each decomposition slice is square and pivots only on slice columns.
+
+    decompose_over reads its coefficients off the tag columns of the
+    reduced element, which is sound only when the power basis is a basis
+    of the refined slice: one unknown per slice column, and no row left
+    with nothing but tag entries.
+    """
+    checked = 0
+    for n in range(2, 5):
+        for ks in key_situations(n):
+            top = coinvariant_top_degree(ks.rho) // 2
+            for side in ("nu", "nu_prime"):
+                for deg in range(top + 1):
+                    ech, unknowns, col_of, _, _ = _decomp_system(
+                        ks.nu, ks.i, side, deg
+                    )
+                    where = (ks, side, deg)
+                    assert len(unknowns) == len(col_of), where
+                    assert all(c < len(col_of) for c in ech.pivots), where
+                    checked += 1
+    assert checked > 0
 
 
 def test_decompose_rejects_non_invariant():
@@ -365,6 +391,22 @@ def test_family_addition_merges_components():
     assert set(both.components) == {comp(2), comp(1, 1)}
     cancel = both - a - b
     assert cancel.is_zero
+
+
+def test_family_shape_given_as_list():
+    nu = comp(2, 1)
+    wf = WeightFamily.unit(nu, (1, 2), [2, 1])
+    assert wf.mu == comp(2, 1)
+    assert wf + wf == wf * Q(2)
+
+
+def test_family_shape_order_does_not_matter():
+    nu = comp(2, 1)
+    a = WeightFamily.unit(nu, (1, 2), comp(1, 2))
+    b = WeightFamily.unit(nu, (1, 2), comp(2, 1))
+    assert a == b
+    assert a.mu == b.mu == comp(2, 1)
+    assert a + b == b * Q(2)
 
 
 def test_window_overflow_on_nonzero_images_only():

@@ -441,6 +441,26 @@ def test_vanishing_window_covers_generator_degrees():
     assert checked == 171
 
 
+def test_zero_generator_is_ignored():
+    nu = comp(1, 1)
+    gens = coinvariant_generators(nu)
+    padded = gens + [Poly.zero(2)]
+    pres = presentation(nu, generators=padded, top_degree=2)
+    assert pres.dim() == 2
+    assert pres.contains(gens[0]) and not pres.contains(Poly.var(2, 1))
+    assert ideals_equal(padded, gens, nu)
+    assert ideals_equal([Poly.zero(2)], [], nu)
+
+
+def test_presentation_stores_sorted_shape():
+    # a weight no other test asks for, so the first call builds it
+    nu = Composition(7, [2, 1])
+    pres = presentation(nu, comp(1, 2))
+    assert pres.mu == comp(2, 1)
+    assert presentation(nu, [2, 1]) is pres
+    assert presentation(nu, comp(2, 1)).mu == comp(2, 1)
+
+
 def test_custom_presentation_needs_bound_for_dim():
     x1 = Poly.var(1, 1)
     pres = presentation(comp(1), generators=[x1 * x1])
