@@ -17,7 +17,6 @@ from math import factorial
 
 from .errors import (
     CoinvError,
-    NonTerminatingError,
     NotInvariantError,
     WindowOverflowError,
 )
@@ -42,6 +41,7 @@ from .reporting import Report
 from .shapes import (
     Composition,
     Partition,
+    canonical_shape,
     compositions_of,
     partitions_of,
     quotient_top_degree,
@@ -171,7 +171,7 @@ def emit(args, lines, data) -> None:
 
 def _shapes(n: int):
     for mu in partitions_of(n):
-        yield Composition(1, list(mu.parts))
+        yield canonical_shape(mu)
 
 
 # ----------------------------------------------------------------------
@@ -687,16 +687,10 @@ def main(argv=None) -> int:
     except WindowOverflowError as exc:
         print(f"window overflow: {exc}", file=sys.stderr)
         return EXIT_WINDOW
-    except NotInvariantError as exc:
-        # only reachable from user-supplied elements
+    except (NotInvariantError, ValueError) as exc:
+        # NotInvariantError is only reachable from user-supplied elements
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except NonTerminatingError as exc:
-        print(f"internal invariant breach: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
     except CoinvError as exc:
         print(f"internal invariant breach: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -9,6 +9,11 @@ of the refined invariant ring and pushes each power through an explicit
 e/h expression.  Agreement of the two routes is part of the test surface,
 not an assumption.
 
+Both operators come from one induction/restriction pair between the
+sides "nu" and "nu_prime" of a key situation.  KeySituation builds one
+Side record per side; the pushforward, the power image and the power
+basis decomposition are each written once over such a record.
+
 Operators on whole weight families (finitely supported sums over
 compositions in an index window) apply componentwise and add up
 collisions; an operator whose non-zero image would leave the window
@@ -18,12 +23,12 @@ raises WindowOverflowError rather than truncating.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import NoSolutionError, NotInvariantError, WindowOverflowError
 from .polynomials import Poly, Q, QONE, divided_difference, e_block, h_block
 from .quotients import (
     QuotientElement,
-    QuotientPresentation,
     _blocks_of,
     _canonical_exps,
     _coordinatize,
@@ -36,13 +41,30 @@ from .quotients import (
 from .reporting import Report
 from .shapes import (
     Composition,
+    canonical_shape,
     compositions_of,
     partitions_of,
     quotient_top_degree,
-    sort_to_partition,
     transpose,
 )
 from .tableaux import count_column_strict, kostka, kostka_foulkes
+
+
+class Side(NamedTuple):
+    """One side of a key situation, as the operator formulas read it.
+
+    The refined invariant ring is free over the invariants of base on
+    1, x_k, ..., x_k^top; x_k sits in block ``block`` of base, and other
+    is the opposite side's composition.  The pushforward to this side
+    sends x_k^r to sign * h_{r-top} over that block.
+    """
+
+    name: str
+    base: Composition
+    other: Composition
+    top: int
+    block: int
+    sign: int
 
 
 class KeySituation:
@@ -51,10 +73,12 @@ class KeySituation:
     nu must have a non-zero part at i; nu_prime is nu with that part
     lowered and the next raised.  a and b are the sizes of the two
     blocks that the moving variable x_k sits between: block i of
-    nu_prime keeps a variables, block i+1 of nu keeps b.
+    nu_prime keeps a variables, block i+1 of nu keeps b.  The two sides
+    are the Side records "nu" (top a, block i, sign (-1)^a) and
+    "nu_prime" (top b, block i+1, sign +1).
     """
 
-    __slots__ = ("i", "nu", "nu_prime", "a", "b", "k", "rho")
+    __slots__ = ("i", "nu", "nu_prime", "a", "b", "k", "rho", "_sides")
 
     def __init__(self, i: int, nu: Composition):
         if nu[i] <= 0:
@@ -66,6 +90,23 @@ class KeySituation:
         self.b = nu[i + 1]
         self.k = nu.partial_sum(i)
         self.rho = nu.refine_at(i)
+        sign = -1 if self.a % 2 else 1
+        self._sides = {
+            "nu": Side("nu", nu, self.nu_prime, self.a, i, sign),
+            "nu_prime": Side("nu_prime", self.nu_prime, nu, self.b, i + 1, 1),
+        }
+
+    def side(self, name: str) -> Side:
+        """The Side record named "nu" or "nu_prime"."""
+        try:
+            return self._sides[name]
+        except KeyError:
+            raise ValueError("side must be 'nu' or 'nu_prime'") from None
+
+    def opposite(self, side: Side) -> Side:
+        """The Side record of the other side."""
+        nu_side, prime_side = self._sides.values()
+        return prime_side if side is nu_side else nu_side
 
     @property
     def n(self) -> int:
@@ -138,16 +179,15 @@ def _decomp_system(nu: Composition, i: int, side: str, deg: int):
     unknown u is the pair (r, canonical exponent of the orbit sum).
     """
     ks = KeySituation(i, nu)
-    base = ks.nu if side == "nu" else ks.nu_prime
-    r_max = ks.a if side == "nu" else ks.b
+    s = ks.side(side)
     n = ks.n
     rho_blocks = _blocks_of(ks.rho)
-    base_blocks = _blocks_of(base)
+    base_blocks = _blocks_of(s.base)
     col_of = {e: j for j, e in enumerate(_canonical_exps(rho_blocks, n, deg))}
     xk = Poly.var(n, ks.k)
     ech = _Echelon()
     unknowns = []
-    for r in range(0, min(r_max, deg) + 1):
+    for r in range(0, min(s.top, deg) + 1):
         power = xk**r
         for mexp in _canonical_exps(base_blocks, n, deg - r):
             row = _coordinatize(
@@ -162,13 +202,12 @@ def _decomp_system(nu: Composition, i: int, side: str, deg: int):
 def decompose_over(ks: KeySituation, f, side: str) -> list:
     """Coefficients of f over the power basis of x_k for one side.
 
-    Returns polynomials z_0..z_a (side "nu") or z_0..z_b (side
-    "nu_prime") in the side's invariant ring with f = sum z_r x_k^r.
+    Returns polynomials z_0..z_top in the side's invariant ring with
+    f = sum z_r x_k^r (top is a on side "nu", b on side "nu_prime").
     Raises NoSolutionError when f is not invariant under the common
     refinement of the two sides.
     """
-    if side not in ("nu", "nu_prime"):
-        raise ValueError("side must be 'nu' or 'nu_prime'")
+    top = ks.side(side).top
     if isinstance(f, QuotientElement):
         f = f.rep
     if f.n != ks.n:
@@ -177,9 +216,8 @@ def decompose_over(ks: KeySituation, f, side: str) -> list:
         ensure_block_invariant(f, ks.rho)
     except NotInvariantError as exc:
         raise NoSolutionError(str(exc)) from exc
-    r_max = ks.a if side == "nu" else ks.b
     n = ks.n
-    acc = [dict() for _ in range(r_max + 1)]
+    acc = [dict() for _ in range(top + 1)]
     for deg, comp in f.homogeneous_components().items():
         ech, unknowns, col_of, rho_blocks, bblocks = _decomp_system(
             ks.nu, ks.i, side, deg
@@ -204,93 +242,60 @@ def decompose_over(ks: KeySituation, f, side: str) -> list:
 # module-level (basis formula) operators
 
 
-def _f_power_image(ks: KeySituation, r: int) -> Poly:
-    """Image of x_k^r under the lowering pushforward composite."""
-    n = ks.n
-    sign = -1 if ks.a % 2 else 1
-    out = Poly.zero(n)
-    for s in range(0, ks.a + 1):
-        term = e_block(ks.nu_prime, [ks.i], s) * h_block(
-            ks.nu_prime, [ks.i + 1], r - s + ks.a - ks.b
+def _power_image(ks: KeySituation, r: int, src: Side, dst: Side) -> Poly:
+    """Image of x_k^r under the pushforward composite from src to dst.
+
+    (-1)^a sum_j (-1)^j e_j(Y) h_{r-j+top_src-top_dst}(X), with Y and X
+    the blocks src.block and dst.block of the target ring dst.base; one
+    of the two signs is (-1)^a and the other +1.
+    """
+    out = Poly.zero(ks.n)
+    for j in range(0, src.top + 1):
+        term = e_block(dst.base, [src.block], j) * h_block(
+            dst.base, [dst.block], r - j + src.top - dst.top
         )
-        out = out + (term if s % 2 == 0 else -term)
-    return out * sign
+        out = out + (term if j % 2 == 0 else -term)
+    return out * (src.sign * dst.sign)
 
 
-def _e_power_image(ks: KeySituation, r: int) -> Poly:
-    """Image of x_k^r under the raising pushforward composite."""
-    n = ks.n
-    sign = -1 if ks.a % 2 else 1
-    out = Poly.zero(n)
-    for s in range(0, ks.b + 1):
-        term = e_block(ks.nu, [ks.i + 1], s) * h_block(
-            ks.nu, [ks.i], r - s + ks.b - ks.a
-        )
-        out = out + (term if s % 2 == 0 else -term)
-    return out * sign
+def _apply_oracle(ks: KeySituation, z: QuotientElement, src: Side):
+    """Move z off side src via decomposition over the target's power basis."""
+    dst = ks.opposite(src)
+    target = presentation(dst.base, z.pres.mu)
+    acc = Poly.zero(ks.n)
+    for r, zr in enumerate(decompose_over(ks, z.rep, dst.name)):
+        if not zr.is_zero:
+            acc = acc + zr * _power_image(ks, r, src, dst)
+    return target.normal_form(acc)
 
 
 def apply_F_oracle(ks: KeySituation, z: QuotientElement) -> QuotientElement:
     """Lowering via decomposition over the target side's power basis."""
-    target = _sibling_presentation(z.pres, ks.nu_prime)
-    coeffs = decompose_over(ks, z.rep, "nu_prime")
-    acc = Poly.zero(ks.n)
-    for r, zr in enumerate(coeffs):
-        if not zr.is_zero:
-            acc = acc + zr * _f_power_image(ks, r)
-    return target.normal_form(acc)
+    return _apply_oracle(ks, z, ks.side("nu"))
 
 
 def apply_E_oracle(ks: KeySituation, z: QuotientElement) -> QuotientElement:
     """Raising via decomposition over the target side's power basis."""
-    target = _sibling_presentation(z.pres, ks.nu)
-    coeffs = decompose_over(ks, z.rep, "nu")
-    acc = Poly.zero(ks.n)
-    for r, zr in enumerate(coeffs):
-        if not zr.is_zero:
-            acc = acc + zr * _e_power_image(ks, r)
-    return target.normal_form(acc)
-
-
-def _sibling_presentation(pres: QuotientPresentation, nu: Composition):
-    return presentation(nu, pres.mu)
+    return _apply_oracle(ks, z, ks.side("nu_prime"))
 
 
 # ----------------------------------------------------------------------
 # pushforwards
 
 
-def push_p_poly(ks: KeySituation, f: Poly) -> Poly:
-    """Pushforward to the nu side: x_k^r goes to (-1)^a h_{r-a}."""
-    coeffs = decompose_over(ks, f, "nu")
-    sign = -1 if ks.a % 2 else 1
+def push_poly(ks: KeySituation, f, side: str) -> Poly:
+    """Pushforward to a side: x_k^r maps to sign * h_{r-top} of its block."""
+    s = ks.side(side)
     acc = Poly.zero(ks.n)
-    for r, zr in enumerate(coeffs):
+    for r, zr in enumerate(decompose_over(ks, f, side)):
         if not zr.is_zero:
-            acc = acc + zr * h_block(ks.nu, [ks.i], r - ks.a) * sign
-    return acc
+            acc = acc + zr * h_block(s.base, [s.block], r - s.top)
+    return acc * s.sign
 
 
-def push_p_prime_poly(ks: KeySituation, f: Poly) -> Poly:
-    """Pushforward to the nu_prime side: x_k^r goes to h_{r-b}."""
-    coeffs = decompose_over(ks, f, "nu_prime")
-    acc = Poly.zero(ks.n)
-    for r, zr in enumerate(coeffs):
-        if not zr.is_zero:
-            acc = acc + zr * h_block(ks.nu_prime, [ks.i + 1], r - ks.b)
-    return acc
-
-
-def push_p(ks: KeySituation, f) -> QuotientElement:
-    if isinstance(f, QuotientElement):
-        f = f.rep
-    return presentation(ks.nu).normal_form(push_p_poly(ks, f))
-
-
-def push_p_prime(ks: KeySituation, f) -> QuotientElement:
-    if isinstance(f, QuotientElement):
-        f = f.rep
-    return presentation(ks.nu_prime).normal_form(push_p_prime_poly(ks, f))
+def push(ks: KeySituation, f, side: str) -> QuotientElement:
+    """The pushforward, reduced in the side's plain quotient."""
+    return presentation(ks.side(side).base).normal_form(push_poly(ks, f, side))
 
 
 # ----------------------------------------------------------------------
@@ -310,11 +315,21 @@ def _apply_component(op: str, i: int, nu: Composition, z: QuotientElement):
     """
     if op == "D":
         return nu, apply_D(i, nu, z)
-    return _component_image(op, i, nu, z.pres.mu, z.rep)
+    mu = z.pres.mu
+    res = _component_image(op, i, nu, mu, z.rep)
+    if res is None:
+        return None
+    target_nu, rep = res
+    return target_nu, QuotientElement(presentation(target_nu, mu), rep)
 
 
 @lru_cache(maxsize=None)
 def _component_image(op: str, i: int, nu: Composition, mu, rep: Poly):
+    """(target_nu, normal-form rep of the image), or None for the zero map.
+
+    The memo holds reps, not elements, so it keeps no presentation alive
+    and stays valid when the presentation cache is cleared.
+    """
     if op == "F":
         if nu[i] == 0:
             return None
@@ -329,7 +344,7 @@ def _component_image(op: str, i: int, nu: Composition, mu, rep: Poly):
         image = apply_E_poly(ks, rep)
     else:
         raise ValueError(f"unknown operator {op!r}")
-    return target_nu, presentation(target_nu, mu).normal_form(image)
+    return target_nu, presentation(target_nu, mu).normal_form(image).rep
 
 
 # ----------------------------------------------------------------------
@@ -348,10 +363,8 @@ class WeightFamily:
     def __init__(self, n: int, window: tuple, mu=None, components=None):
         self.n = n
         self.window = (int(window[0]), int(window[1]))
-        # the shape as presentation() stores it: parts sorted, from 1
-        if mu is not None:
-            mu = Composition(1, sort_to_partition(mu).parts)
-        self.mu = mu
+        # the shape as presentation() stores it
+        self.mu = None if mu is None else canonical_shape(mu)
         comps = {}
         for nu, z in (components or {}).items():
             if z.is_zero:
@@ -489,6 +502,7 @@ def relation_report(n: int, window: tuple, mu=None) -> Report:
     """Commutation and Serre relations on every basis vector in range."""
     title = f"gl relations, n={n}, window={window}"
     if mu is not None:
+        mu = canonical_shape(mu)
         title += f", shape {tuple(mu.parts)}"
     report = Report(title)
     lo, hi = window
@@ -502,10 +516,8 @@ def relation_report(n: int, window: tuple, mu=None) -> Report:
             for z in pres.graded_basis(d):
                 families.append(WeightFamily(n, window, mu, {nu: z}))
 
-    def weight_scalar(fam, i):
-        return fam.apply("D", i)
-
-    ok_ef = ok_de = ok_df = ok_comm = ok_serre = True
+    ok_ef = ok_comm = ok_serre = True
+    ok_d = {"E": True, "F": True}
     for fam in families:
         for i in move_idx:
             for j in move_idx:
@@ -513,33 +525,27 @@ def relation_report(n: int, window: tuple, mu=None) -> Report:
                 fe = fam.apply("E", i).apply("F", j)
                 comm = ef - fe
                 if i == j:
-                    rhs = weight_scalar(fam, i) - weight_scalar(fam, i + 1)
+                    rhs = fam.apply("D", i) - fam.apply("D", i + 1)
                 else:
                     rhs = fam * 0
                 if comm != rhs:
                     ok_ef = False
                 if abs(i - j) >= 2:
-                    ee = fam.apply("E", j).apply("E", i) - fam.apply(
-                        "E", i
-                    ).apply("E", j)
-                    ff = fam.apply("F", j).apply("F", i) - fam.apply(
-                        "F", i
-                    ).apply("F", j)
-                    if not ee.is_zero or not ff.is_zero:
-                        ok_comm = False
+                    for op in ("E", "F"):
+                        swap = fam.apply(op, j).apply(op, i) - fam.apply(
+                            op, i
+                        ).apply(op, j)
+                        if not swap.is_zero:
+                            ok_comm = False
         for i in range(lo, hi + 1):
             for j in move_idx:
+                # [D_i, E_j] = (d_ij - d_i,j+1) E_j, and minus that for F_j
                 scal = Q(1 if i == j else 0) - Q(1 if i == j + 1 else 0)
-                de = fam.apply("E", j).apply("D", i) - fam.apply("D", i).apply(
-                    "E", j
-                )
-                if de != fam.apply("E", j) * scal:
-                    ok_de = False
-                df = fam.apply("F", j).apply("D", i) - fam.apply("D", i).apply(
-                    "F", j
-                )
-                if df != fam.apply("F", j) * (-scal):
-                    ok_df = False
+                for op, sign in (("E", 1), ("F", -1)):
+                    moved = fam.apply(op, j)
+                    comm = moved.apply("D", i) - fam.apply("D", i).apply(op, j)
+                    if comm != moved * (sign * scal):
+                        ok_d[op] = False
         for i in move_idx:
             for j in (i - 1, i + 1):
                 if j not in move_idx:
@@ -552,8 +558,8 @@ def relation_report(n: int, window: tuple, mu=None) -> Report:
                     if not serre.is_zero:
                         ok_serre = False
     report.add("commutator_EF_is_weight_difference", ok_ef)
-    report.add("commutator_DE_scales_E", ok_de)
-    report.add("commutator_DF_scales_F", ok_df)
+    report.add("commutator_DE_scales_E", ok_d["E"])
+    report.add("commutator_DF_scales_F", ok_d["F"])
     report.add("distant_EE_FF_commute", ok_comm)
     report.add("serre_relations", ok_serre)
     return report
@@ -561,50 +567,42 @@ def relation_report(n: int, window: tuple, mu=None) -> Report:
 
 def ideal_invariance_check(mu, window: tuple) -> Report:
     """Operators map each cut ideal into the neighbouring cut ideal."""
-    mu_c = mu if isinstance(mu, Composition) else Composition(1, list(mu))
+    mu_c = canonical_shape(mu)
     n = sum(mu_c.parts)
     report = Report(
         f"ideal invariance, shape {tuple(mu_c.parts)}, window {window}"
     )
     lo, hi = window
-    ok_f = ok_e = True
+    ok = [True, True]
     for nu in compositions_of(n, window):
         for i in range(lo, hi):
             if nu[i] == 0:
                 continue
             ks = KeySituation(i, nu)
-            src = presentation(nu, mu_c)
-            dst = presentation(ks.nu_prime, mu_c)
-            cap = max(
-                (g.degree() // 2 for g in src.generators), default=0
+            halves = (
+                (ks.side("nu"), apply_F_poly),
+                (ks.side("nu_prime"), apply_E_poly),
             )
-            blocks = _blocks_of(nu)
-            for g in tanisaki_generators_h(mu_c, nu):
-                gd = g.degree() // 2
-                for extra in range(0, cap - gd + 1):
-                    for mexp in _canonical_exps(blocks, n, extra):
-                        cof = _orbit_poly(blocks, n, mexp)
-                        if not dst.contains(apply_F_poly(ks, g * cof)):
-                            ok_f = False
-            blocks_p = _blocks_of(ks.nu_prime)
-            cap_p = max(
-                (g.degree() // 2 for g in dst.generators), default=0
-            )
-            for g in tanisaki_generators_h(mu_c, ks.nu_prime):
-                gd = g.degree() // 2
-                for extra in range(0, cap_p - gd + 1):
-                    for mexp in _canonical_exps(blocks_p, n, extra):
-                        cof = _orbit_poly(blocks_p, n, mexp)
-                        if not src.contains(apply_E_poly(ks, g * cof)):
-                            ok_e = False
-    report.add("lowering_preserves_cut_ideals", ok_f)
-    report.add("raising_preserves_cut_ideals", ok_e)
+            for half, (side, op) in enumerate(halves):
+                src = presentation(side.base, mu_c)
+                dst = presentation(side.other, mu_c)
+                cap = max((g.degree() // 2 for g in src.generators), default=0)
+                blocks = _blocks_of(side.base)
+                for g in tanisaki_generators_h(mu_c, side.base):
+                    gd = g.degree() // 2
+                    for extra in range(0, cap - gd + 1):
+                        for mexp in _canonical_exps(blocks, n, extra):
+                            cof = _orbit_poly(blocks, n, mexp)
+                            if not dst.contains(op(ks, g * cof)):
+                                ok[half] = False
+    report.add("lowering_preserves_cut_ideals", ok[0])
+    report.add("raising_preserves_cut_ideals", ok[1])
     return report
 
 
 def weight_dim_report(mu, window: tuple) -> Report:
     """Weight space dimensions against tableau counts."""
-    mu_c = mu if isinstance(mu, Composition) else Composition(1, list(mu))
+    mu_c = canonical_shape(mu)
     n = sum(mu_c.parts)
     lam = transpose(mu_c)
     report = Report(
@@ -635,7 +633,7 @@ def hilbert_identity_check(mu, nu: Composition) -> bool:
     (number of column-strict kappa-tableaux of content nu) times the
     charge polynomial of tau over mu evaluated at t^(-2).
     """
-    mu_c = mu if isinstance(mu, Composition) else Composition(1, list(mu))
+    mu_c = canonical_shape(mu)
     pres = presentation(nu, mu_c)
     left = pres.hilbert()
     top = quotient_top_degree(nu, mu_c)

@@ -45,10 +45,10 @@ from .polynomials import (
 from .reporting import Report
 from .shapes import (
     Composition,
+    canonical_shape,
     coinvariant_top_degree,
     dominates,
     quotient_top_degree,
-    sort_to_partition,
     transpose,
 )
 from .tableaux import IntPoly
@@ -680,12 +680,12 @@ def presentation(
         )
     if mu is None:
         return _standard_presentation(nu, None, "")
-    return _standard_presentation(nu, tuple(sort_to_partition(mu).parts), form)
+    return _standard_presentation(nu, canonical_shape(mu), form)
 
 
 @lru_cache(maxsize=None)
-def _standard_presentation(nu: Composition, mu_parts, form: str):
-    if mu_parts is None:
+def _standard_presentation(nu: Composition, mu_c, form: str):
+    if mu_c is None:
         return QuotientPresentation(
             nu,
             coinvariant_generators(nu),
@@ -693,7 +693,6 @@ def _standard_presentation(nu: Composition, mu_parts, form: str):
             accelerated=True,
             label=f"coinvariants of {nu!r}",
         )
-    mu_c = Composition(1, mu_parts)
     if form == "h":
         gens = tanisaki_generators_h(mu_c, nu)
     elif form == "e":

@@ -212,6 +212,15 @@ def sort_to_partition(parts: Iterable[int]) -> Partition:
     return Partition(sorted((p for p in parts if p > 0), reverse=True))
 
 
+def canonical_shape(mu: Iterable[int]) -> Composition:
+    """The shape mu as a composition from index 1, parts sorted decreasing.
+
+    Accepts any iterable of parts (list, tuple, Partition, Composition);
+    zero parts are dropped, so every spelling of one shape gives one key.
+    """
+    return Composition(1, sort_to_partition(mu).parts)
+
+
 def dominates(lam: Sequence[int], mu: Sequence[int]) -> bool:
     """Dominance order on partitions of the same total: head sums never smaller."""
     la = list(lam)

@@ -147,9 +147,6 @@ class Tableau:
             row[c] <= row[c + 1] for row in self.rows for c in range(len(row) - 1)
         )
 
-    def is_semistandard(self) -> bool:
-        return self.is_column_strict() and self.is_row_weak()
-
     def row_word(self) -> tuple:
         """Reading word: rows from last to first, each left to right."""
         out = []

@@ -7,6 +7,8 @@ forward; the units of the two adjunctions are the Casimir elements of
 these pairings and the counits are the pairings themselves.  Trace maps
 close a unit against the opposite pushforward and must reproduce the
 Chevalley operators; that equality is the module's main test surface.
+The unit pairs and the counit are each written once over a side's Side
+record (see glaction); the public nu/nu_prime functions name a side.
 
 All natural transformations are evaluated on regular modules only, and
 tensor elements are canonicalized eagerly over the power bases so that
@@ -17,13 +19,12 @@ from __future__ import annotations
 
 from .glaction import (
     KeySituation,
+    Side,
     apply_E_oracle,
     apply_F_oracle,
     decompose_over,
-    push_p,
-    push_p_poly,
-    push_p_prime,
-    push_p_prime_poly,
+    push,
+    push_poly,
 )
 from .polynomials import Poly, e_block
 from .quotients import QuotientElement, presentation
@@ -42,17 +43,15 @@ def _as_poly(ks: KeySituation, x) -> Poly:
 class ModuleHom:
     """Base-ring-linear map out of the refined quotient.
 
-    direction "nu": an element of Hom over the nu-side base ring,
-    recorded by its values on the basis powers x_k^0..x_k^a; direction
-    "nu_prime" mirrors with powers up to b.
+    direction names a side: the map is linear over that side's base ring
+    and is recorded by its values on the basis powers x_k^0..x_k^top
+    (top is a on side "nu", b on side "nu_prime").
     """
 
     __slots__ = ("ks", "direction", "values")
 
     def __init__(self, ks: KeySituation, direction: str, values):
-        if direction not in ("nu", "nu_prime"):
-            raise ValueError("direction must be 'nu' or 'nu_prime'")
-        rank = (ks.a if direction == "nu" else ks.b) + 1
+        rank = ks.side(direction).top + 1
         values = tuple(values)
         if len(values) != rank:
             raise ValueError(f"expected {rank} basis values, got {len(values)}")
@@ -63,7 +62,7 @@ class ModuleHom:
     def evaluate(self, y) -> QuotientElement:
         """Apply the map to an arbitrary element of the refined quotient."""
         ks = self.ks
-        base = presentation(ks.nu if self.direction == "nu" else ks.nu_prime)
+        base = presentation(ks.side(self.direction).base)
         coeffs = decompose_over(ks, _as_poly(ks, y), self.direction)
         acc = Poly.zero(ks.n)
         for w, val in zip(coeffs, self.values):
@@ -95,16 +94,16 @@ class ModuleHom:
 class PowerBasisTensor:
     """Canonicalized element of a two-factor tensor product.
 
-    shape "nu": the tensor joined over the nu_prime side with outer
-    coefficients in the nu-side quotient (powers r <= b, s <= a).
-    shape "nu_prime" mirrors (r <= a, s <= b, nu_prime coefficients).
+    shape names the coefficient side: the tensor is joined over the
+    opposite side, its entries are x_k^r (r up to the opposite side's
+    top) times a coefficient in the shape side's quotient times x_k^s
+    (s up to the shape side's top).
     """
 
     __slots__ = ("ks", "shape", "coeffs")
 
     def __init__(self, ks: KeySituation, shape: str, coeffs: dict):
-        if shape not in ("nu", "nu_prime"):
-            raise ValueError("shape must be 'nu' or 'nu_prime'")
+        ks.side(shape)  # rejects a bad side name
         self.ks = ks
         self.shape = shape
         self.coeffs = {k: v for k, v in coeffs.items() if not v.is_zero}
@@ -117,19 +116,19 @@ class PowerBasisTensor:
         across; the collected right factors are then decomposed over the
         coefficient side.
         """
-        junction = "nu_prime" if shape == "nu" else "nu"
-        r_max = ks.b if shape == "nu" else ks.a
+        coeff_side = ks.side(shape)
+        junction = ks.opposite(coeff_side)
         n = ks.n
-        collected = [Poly.zero(n) for _ in range(r_max + 1)]
+        collected = [Poly.zero(n) for _ in range(junction.top + 1)]
         for left, right in pairs:
             left = _as_poly(ks, left)
             right = _as_poly(ks, right)
             if left.is_zero or right.is_zero:
                 continue
-            for r, z in enumerate(decompose_over(ks, left, junction)):
+            for r, z in enumerate(decompose_over(ks, left, junction.name)):
                 if not z.is_zero:
                     collected[r] = collected[r] + z * right
-        base = presentation(ks.nu if shape == "nu" else ks.nu_prime)
+        base = presentation(coeff_side.base)
         coeffs = {}
         for r, y in enumerate(collected):
             if y.is_zero:
@@ -198,84 +197,82 @@ def delta(ks: KeySituation, g) -> ModuleHom:
     """Pair against g: the basis power x_k^s maps to push(g x_k^s)."""
     g = _as_poly(ks, g)
     xk = Poly.var(ks.n, ks.k)
-    values = [push_p(ks, g * xk**s) for s in range(ks.a + 1)]
+    values = [push(ks, g * xk**s, "nu") for s in range(ks.a + 1)]
     return ModuleHom(ks, "nu", values)
 
 
 def delta_inv(ks: KeySituation, f: ModuleHom):
-    """Reconstruct the pairing element from a hom's basis values."""
+    """Reconstruct the pairing element from a hom's basis values.
+
+    Contracts the nu-side unit: each pair's left factor times the hom's
+    value on the pair's right power.
+    """
     if f.direction != "nu":
         raise ValueError("delta_inv expects a nu-side hom")
-    n = ks.n
-    sign = -1 if ks.a % 2 else 1
-    acc = Poly.zero(n)
-    for r in range(ks.a + 1):
-        term = e_block(ks.nu_prime, [ks.i], r) * f.values[ks.a - r].rep
-        acc = acc + (term if r % 2 == 0 else -term)
-    return presentation(ks.rho).normal_form(acc * sign)
+    pairs = _unit_pairs(ks, ks.side("nu"))  # right powers x_k^a .. x_k^0
+    acc = Poly.zero(ks.n)
+    for (left, _), value in zip(pairs, reversed(f.values)):
+        acc = acc + left * value.rep
+    return presentation(ks.rho).normal_form(acc)
 
 
 # ----------------------------------------------------------------------
 # units and counits
 
 
-def _unit_pairs_prime(ks: KeySituation) -> list:
-    """Defining factor pairs of the nu-side unit, before canonicalization."""
+def _unit_pairs(ks: KeySituation, side: Side) -> list:
+    """Defining factor pairs of one side's unit, before canonicalization.
+
+    The pairs are (sign * (-1)^r e_r, x_k^(top-r)) for r = 0..top, with
+    e_r taken over block side.block of the opposite composition.
+    """
     xk = Poly.var(ks.n, ks.k)
-    sign = -1 if ks.a % 2 else 1
     pairs = []
-    for r in range(ks.a + 1):
-        left = e_block(ks.nu_prime, [ks.i], r) * sign
+    for r in range(side.top + 1):
+        left = e_block(side.other, [side.block], r) * side.sign
         if r % 2:
             left = -left
-        pairs.append((left, xk ** (ks.a - r)))
+        pairs.append((left, xk ** (side.top - r)))
     return pairs
 
 
-def _unit_pairs(ks: KeySituation) -> list:
-    """Defining factor pairs of the nu_prime-side unit."""
-    xk = Poly.var(ks.n, ks.k)
-    pairs = []
-    for r in range(ks.b + 1):
-        left = e_block(ks.nu, [ks.i + 1], r)
-        if r % 2:
-            left = -left
-        pairs.append((left, xk ** (ks.b - r)))
-    return pairs
+def _counit(ks: KeySituation, side: str, first, second) -> QuotientElement:
+    """One side's pairing: multiply the factors and push down.
+
+    Accepts either an explicit pair of factors or a canonicalized tensor
+    (second None); on basis powers the values are sign * h_{r+s-top}
+    over the side's block.
+    """
+    if second is not None:
+        return push(ks, _as_poly(ks, first) * _as_poly(ks, second), side)
+    acc = Poly.zero(ks.n)
+    for left, right in first.pairs():
+        acc = acc + push_poly(ks, left * right, side)
+    return presentation(ks.side(side).base).normal_form(acc)
 
 
 def unit_iota_prime(ks: KeySituation) -> PowerBasisTensor:
     """Casimir element of the nu-side pairing, canonicalized."""
-    return PowerBasisTensor.from_pairs(ks, "nu", _unit_pairs_prime(ks))
+    return PowerBasisTensor.from_pairs(
+        ks, "nu", _unit_pairs(ks, ks.side("nu"))
+    )
 
 
 def unit_iota(ks: KeySituation) -> PowerBasisTensor:
     """Casimir element of the nu_prime-side pairing, canonicalized."""
-    return PowerBasisTensor.from_pairs(ks, "nu_prime", _unit_pairs(ks))
+    return PowerBasisTensor.from_pairs(
+        ks, "nu_prime", _unit_pairs(ks, ks.side("nu_prime"))
+    )
 
 
 def counit_eps(ks: KeySituation, first, second=None) -> QuotientElement:
-    """The nu-side pairing: multiply the factors and push down.
-
-    Accepts either an explicit pair of factors or a canonicalized
-    tensor; on basis powers the values are (-1)^a h_{r+s-a} over block i.
-    """
-    if second is not None:
-        return push_p(ks, _as_poly(ks, first) * _as_poly(ks, second))
-    acc = Poly.zero(ks.n)
-    for left, right in first.pairs():
-        acc = acc + push_p_poly(ks, left * right)
-    return presentation(ks.nu).normal_form(acc)
+    """The nu-side pairing; values (-1)^a h_{r+s-a} over block i."""
+    return _counit(ks, "nu", first, second)
 
 
 def counit_eps_prime(ks: KeySituation, first, second=None) -> QuotientElement:
     """The nu_prime-side pairing; values h_{r+s-b} over block i+1."""
-    if second is not None:
-        return push_p_prime(ks, _as_poly(ks, first) * _as_poly(ks, second))
-    acc = Poly.zero(ks.n)
-    for left, right in first.pairs():
-        acc = acc + push_p_prime_poly(ks, left * right)
-    return presentation(ks.nu_prime).normal_form(acc)
+    return _counit(ks, "nu_prime", first, second)
 
 
 # ----------------------------------------------------------------------
@@ -309,29 +306,20 @@ def triangle_identity_check(ks: KeySituation) -> bool:
     n, k = ks.n, ks.k
     xk = Poly.var(n, k)
     rho = presentation(ks.rho)
-    iota_p = _unit_pairs_prime(ks)
-    iota = _unit_pairs(ks)
+    units = [(s, _unit_pairs(ks, ks.side(s))) for s in ("nu", "nu_prime")]
     for t in range(ks.a + ks.b + 1):
         u = xk**t
         want = rho.normal_form(u)
-        first_slot = Poly.zero(n)
-        second_slot = Poly.zero(n)
-        for left, right in iota_p:
-            first_slot = first_slot + left * push_p_poly(ks, right * u)
-            second_slot = second_slot + push_p_poly(ks, u * left) * right
-        if rho.normal_form(first_slot) != want:
-            return False
-        if rho.normal_form(second_slot) != want:
-            return False
-        first_slot = Poly.zero(n)
-        second_slot = Poly.zero(n)
-        for left, right in iota:
-            first_slot = first_slot + left * push_p_prime_poly(ks, right * u)
-            second_slot = second_slot + push_p_prime_poly(ks, u * left) * right
-        if rho.normal_form(first_slot) != want:
-            return False
-        if rho.normal_form(second_slot) != want:
-            return False
+        for side, pairs in units:
+            first_slot = Poly.zero(n)
+            second_slot = Poly.zero(n)
+            for left, right in pairs:
+                first_slot += left * push_poly(ks, right * u, side)
+                second_slot += push_poly(ks, u * left, side) * right
+            if rho.normal_form(first_slot) != want:
+                return False
+            if rho.normal_form(second_slot) != want:
+                return False
     return True
 
 
@@ -339,24 +327,24 @@ def trace_map_report(n: int, window) -> Report:
     """Trace maps against the Chevalley operators on every basis vector."""
     report = Report(f"trace maps vs operators, n={n}, window={window}")
     lo, hi = window
-    ok_f = ok_e = True
+    ok = [True, True]
     for nu in compositions_of(n, window):
         for i in range(lo, hi):
             if nu[i] == 0:
                 continue
             ks = KeySituation(i, nu)
-            src = presentation(nu)
-            for d in range(0, (src.top_degree or 0) + 1, 2):
-                for z in src.graded_basis(d):
-                    if trace_F(ks, z) != apply_F_oracle(ks, z):
-                        ok_f = False
-            dst = presentation(ks.nu_prime)
-            for d in range(0, (dst.top_degree or 0) + 1, 2):
-                for z in dst.graded_basis(d):
-                    if trace_E(ks, z) != apply_E_oracle(ks, z):
-                        ok_e = False
-    report.add("trace_F_matches_lowering_oracle", ok_f)
-    report.add("trace_E_matches_raising_oracle", ok_e)
+            halves = (
+                (ks.side("nu"), trace_F, apply_F_oracle),
+                (ks.side("nu_prime"), trace_E, apply_E_oracle),
+            )
+            for half, (side, trace, oracle) in enumerate(halves):
+                src = presentation(side.base)
+                for d in range(0, (src.top_degree or 0) + 1, 2):
+                    for z in src.graded_basis(d):
+                        if trace(ks, z) != oracle(ks, z):
+                            ok[half] = False
+    report.add("trace_F_matches_lowering_oracle", ok[0])
+    report.add("trace_E_matches_raising_oracle", ok[1])
     return report
 
 
@@ -391,30 +379,23 @@ def adjunction_report(n: int, window) -> Report:
             if not triangle_identity_check(ks):
                 ok_tri = False
             # centrality: multiplying either tensor factor gives one trace
-            src = presentation(nu)
-            unit = unit_iota_prime(ks)
-            unit_e = unit_iota(ks)
-            for d in range(0, (src.top_degree or 0) + 1, 2):
-                for z in src.graded_basis(d):
-                    left = counit_eps_prime(
-                        ks, unit.multiply_middle(z, factor="left")
-                    )
-                    right = counit_eps_prime(
-                        ks, unit.multiply_middle(z, factor="right")
-                    )
-                    if left != right:
-                        ok_central = False
-            dst = presentation(ks.nu_prime)
-            for d in range(0, (dst.top_degree or 0) + 1, 2):
-                for z in dst.graded_basis(d):
-                    left = counit_eps(
-                        ks, unit_e.multiply_middle(z, factor="left")
-                    )
-                    right = counit_eps(
-                        ks, unit_e.multiply_middle(z, factor="right")
-                    )
-                    if left != right:
-                        ok_central = False
+            halves = (
+                (ks.side("nu"), unit_iota_prime, counit_eps_prime),
+                (ks.side("nu_prime"), unit_iota, counit_eps),
+            )
+            for side, unit_of, counit in halves:
+                unit = unit_of(ks)
+                src = presentation(side.base)
+                for d in range(0, (src.top_degree or 0) + 1, 2):
+                    for z in src.graded_basis(d):
+                        left = counit(
+                            ks, unit.multiply_middle(z, factor="left")
+                        )
+                        right = counit(
+                            ks, unit.multiply_middle(z, factor="right")
+                        )
+                        if left != right:
+                            ok_central = False
             # naturality of the hom-space isomorphism under multiplication
             xk = Poly.var(ks.n, ks.k)
             for d in range(0, (base.top_degree or 0) + 1, 2):

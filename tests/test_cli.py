@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from coinv import cli, errors
 from coinv.cli import (
     InputError,
     main,
@@ -299,3 +300,23 @@ def test_verify_unknown_suite_exits_two():
     with pytest.raises(SystemExit) as info:
         main(["verify", "--suite", "nonsense"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "exc, code, prefix",
+    [
+        (ValueError, 2, "error:"),
+        (errors.NotInvariantError, 2, "error:"),
+        (errors.WindowOverflowError, 4, "window overflow:"),
+        (errors.NonTerminatingError, 3, "internal invariant breach:"),
+        (errors.NoSolutionError, 3, "internal invariant breach:"),
+    ],
+)
+def test_error_classes_map_to_exit_codes(capsys, monkeypatch, exc, code, prefix):
+    def fail(args):
+        raise exc("boom")
+
+    monkeypatch.setattr(cli, "cmd_dim", fail)
+    got, _, err = run(capsys, ["dim", "--nu", "1,1"])
+    assert got == code
+    assert err.startswith(prefix)

@@ -17,10 +17,8 @@ from coinv.glaction import (
     hilbert_identity_check,
     ideal_invariance_check,
     parse_op_word,
-    push_p,
-    push_p_poly,
-    push_p_prime,
-    push_p_prime_poly,
+    push,
+    push_poly,
     relation_report,
     weight_dim_report,
 )
@@ -34,7 +32,7 @@ from coinv.polynomials import (
     exact_divide,
     symmetrize,
 )
-from coinv.quotients import presentation
+from coinv.quotients import _standard_presentation, presentation
 from coinv.shapes import (
     Composition,
     coinvariant_top_degree,
@@ -79,6 +77,36 @@ def test_key_situation_fields():
 def test_key_situation_rejects_empty_part():
     with pytest.raises(ValueError):
         KeySituation(2, comp(2))
+
+
+def test_side_records_match_key_situation():
+    for n in range(2, 5):
+        for ks in key_situations(n):
+            nu_side, prime_side = ks.side("nu"), ks.side("nu_prime")
+            assert nu_side == (
+                "nu", ks.nu, ks.nu_prime, ks.a, ks.i, (-1) ** ks.a
+            )
+            assert prime_side == (
+                "nu_prime", ks.nu_prime, ks.nu, ks.b, ks.i + 1, 1
+            )
+            assert ks.opposite(nu_side) is prime_side
+            assert ks.opposite(prime_side) is nu_side
+            for side in (nu_side, prime_side):
+                # x_k is in the side's block and leaves the other's
+                assert ks.k in side.base.block_range(side.block)
+                assert ks.k not in side.other.block_range(side.block)
+                assert side.top == side.base[side.block] - 1
+
+
+def test_bad_side_name_rejected():
+    ks = KeySituation(1, comp(2))
+    for bad in ("left", "nu'", "", None):
+        with pytest.raises(ValueError):
+            ks.side(bad)
+        with pytest.raises(ValueError):
+            push(ks, Poly.one(2), bad)
+        with pytest.raises(ValueError):
+            push_poly(ks, Poly.one(2), bad)
 
 
 def test_kernels():
@@ -316,8 +344,8 @@ def test_result_independent_of_representative():
 def test_push_worked_example():
     ks = KeySituation(1, comp(2))
     f = exact_divide(eps_nu(ks.nu), eps_pair(ks.nu, ks.nu_prime))
-    assert push_p(ks, f).rep == Poly.one(2)
-    assert push_p_prime(ks, Poly.one(2)).rep == Poly.one(2)
+    assert push(ks, f, "nu").rep == Poly.one(2)
+    assert push(ks, Poly.one(2), "nu_prime").rep == Poly.one(2)
 
 
 def test_push_agrees_with_antisymmetrization():
@@ -327,10 +355,10 @@ def test_push_agrees_with_antisymmetrization():
             pair = eps_pair(ks.nu, ks.nu_prime)
             for t in range(ks.a + ks.b + 2):
                 f = xk**t
-                assert push_p_poly(ks, f) == exact_divide(
+                assert push_poly(ks, f, "nu") == exact_divide(
                     antisymmetrize(pair * f, ks.nu), eps_nu(ks.nu)
                 )
-                assert push_p_prime_poly(ks, f) == exact_divide(
+                assert push_poly(ks, f, "nu_prime") == exact_divide(
                     antisymmetrize(pair * f, ks.nu_prime),
                     eps_nu(ks.nu_prime),
                 )
@@ -339,9 +367,9 @@ def test_push_agrees_with_antisymmetrization():
 def test_push_kills_low_powers():
     ks = KeySituation(1, comp(3))  # a = 2
     xk = Poly.var(3, ks.k)
-    assert push_p_poly(ks, Poly.one(3)).is_zero
-    assert push_p_poly(ks, xk).is_zero
-    assert push_p_poly(ks, xk**2) == Poly.one(3)
+    assert push_poly(ks, Poly.one(3), "nu").is_zero
+    assert push_poly(ks, xk, "nu").is_zero
+    assert push_poly(ks, xk**2, "nu") == Poly.one(3)
 
 
 # ----------------------------------------------------------------------
@@ -409,6 +437,20 @@ def test_family_shape_order_does_not_matter():
     assert a + b == b * Q(2)
 
 
+def test_component_cache_survives_presentation_cache_clear():
+    window = (1, 2)
+    lowered = WeightFamily.unit(comp(2), window).apply("F", 1)
+    _standard_presentation.cache_clear()
+    again = WeightFamily.unit(comp(2), window).apply("F", 1)
+    assert again.components[comp(1, 1)].rep == (
+        lowered.components[comp(1, 1)].rep
+    )
+    total = again + WeightFamily.unit(comp(1, 1), window)
+    assert total.components[comp(1, 1)].rep == (
+        Poly.var(2, 1) * 2 + Poly.one(2)
+    )
+
+
 def test_window_overflow_on_nonzero_images_only():
     wf = WeightFamily.unit(comp(1), (1, 1))
     with pytest.raises(WindowOverflowError):
@@ -446,6 +488,12 @@ def test_commutator_reproduces_weight_on_singleton():
 
 # ----------------------------------------------------------------------
 # reports
+
+
+def test_relation_report_accepts_shape_as_list():
+    rep = relation_report(2, (1, 2), [1, 1])
+    assert rep.passed
+    assert rep.title.endswith("shape (1, 1)")
 
 
 def test_relation_report_small():

@@ -5,6 +5,7 @@ import pytest
 from coinv.shapes import (
     Composition,
     Partition,
+    canonical_shape,
     coinvariant_top_degree,
     compositions_of,
     dominates,
@@ -144,6 +145,25 @@ class TestSortToPartition:
         assert sort_to_partition(Composition(1, [1, 2, 1])) == Partition([2, 1, 1])
         assert sort_to_partition(Composition(0, [0, 3, 0])) == Partition([3])
         assert sort_to_partition(Composition(1, [2, 2])) == Partition([2, 2])
+
+
+class TestCanonicalShape:
+    def test_every_spelling_gives_one_key(self):
+        want = Composition(1, [2, 1, 1])
+        for mu in (
+            [1, 2, 1],
+            (2, 1, 1),
+            Partition([2, 1, 1]),
+            Composition(3, [1, 0, 1, 2]),
+            [0, 1, 1, 2, 0],
+        ):
+            shape = canonical_shape(mu)
+            assert shape == want
+            assert (shape.lo, shape.parts) == (1, (2, 1, 1))
+
+    def test_empty(self):
+        assert canonical_shape([]) == Composition(1, [])
+        assert canonical_shape([0, 0]) == Composition(1, [])
 
 
 class TestDominates:

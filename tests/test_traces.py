@@ -4,7 +4,7 @@ from coinv.glaction import (
     KeySituation,
     apply_E_oracle,
     apply_F_oracle,
-    push_p,
+    push,
 )
 from coinv.polynomials import Poly, Q
 from coinv.quotients import presentation
@@ -102,7 +102,7 @@ def test_hom_evaluation_extends_by_linearity():
         for g in graded_vectors(rho):
             hom = delta(ks, g)
             for t in range(ks.a + 2):
-                assert hom.evaluate(xk**t) == push_p(ks, g.rep * xk**t)
+                assert hom.evaluate(xk**t) == push(ks, g.rep * xk**t, "nu")
 
 
 def test_delta_matrix_json_shape():
@@ -145,6 +145,14 @@ def test_counit_values_on_extreme_powers():
             3, sign
         )
         assert counit_eps_prime(ks, xk**ks.b, Poly.one(3)).rep == Poly.one(3)
+
+
+def test_tensor_rejects_bad_shape():
+    ks = KeySituation(1, comp(2))
+    with pytest.raises(ValueError):
+        PowerBasisTensor(ks, "sideways", {})
+    with pytest.raises(ValueError):
+        PowerBasisTensor.from_pairs(ks, "sideways", [(Poly.one(2), Poly.one(2))])
 
 
 def test_tensor_canonicalization_ignores_representatives():
