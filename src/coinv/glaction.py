@@ -261,7 +261,7 @@ def _power_image(ks: KeySituation, r: int, src: Side, dst: Side) -> Poly:
 def _apply_oracle(ks: KeySituation, z: QuotientElement, src: Side):
     """Move z off side src via decomposition over the target's power basis."""
     dst = ks.opposite(src)
-    target = presentation(dst.base, z.pres.mu)
+    target = presentation(dst.base, z.pres.mu, form=z.pres.form)
     acc = Poly.zero(ks.n)
     for r, zr in enumerate(decompose_over(ks, z.rep, dst.name)):
         if not zr.is_zero:
@@ -315,17 +315,21 @@ def _apply_component(op: str, i: int, nu: Composition, z: QuotientElement):
     """
     if op == "D":
         return nu, apply_D(i, nu, z)
-    mu = z.pres.mu
-    res = _component_image(op, i, nu, mu, z.rep)
+    mu, form = z.pres.mu, z.pres.form
+    res = _component_image(op, i, nu, mu, form, z.rep)
     if res is None:
         return None
     target_nu, rep = res
-    return target_nu, QuotientElement(presentation(target_nu, mu), rep)
+    return target_nu, QuotientElement(presentation(target_nu, mu, form=form), rep)
 
 
 @lru_cache(maxsize=None)
-def _component_image(op: str, i: int, nu: Composition, mu, rep: Poly):
+def _component_image(op: str, i: int, nu: Composition, mu, form, rep: Poly):
     """(target_nu, normal-form rep of the image), or None for the zero map.
+
+    The image lies in the presentation of the source's shape and
+    generator form, so families of either form stay closed under the
+    operators.
 
     The memo holds reps, not elements, so it keeps no presentation alive
     and stays valid when the presentation cache is cleared.
@@ -344,7 +348,7 @@ def _component_image(op: str, i: int, nu: Composition, mu, rep: Poly):
         image = apply_E_poly(ks, rep)
     else:
         raise ValueError(f"unknown operator {op!r}")
-    return target_nu, presentation(target_nu, mu).normal_form(image).rep
+    return target_nu, presentation(target_nu, mu, form=form).normal_form(image).rep
 
 
 # ----------------------------------------------------------------------
@@ -512,9 +516,8 @@ def relation_report(n: int, window: tuple, mu=None) -> Report:
         pres = presentation(nu, mu)
         if pres.is_zero_algebra:
             continue
-        for d in range(0, (pres.top_degree or 0) + 1, 2):
-            for z in pres.graded_basis(d):
-                families.append(WeightFamily(n, window, mu, {nu: z}))
+        for z in pres.basis():
+            families.append(WeightFamily(n, window, mu, {nu: z}))
 
     ok_ef = ok_comm = ok_serre = True
     ok_d = {"E": True, "F": True}

@@ -37,7 +37,7 @@ def grlex_key(exp: tuple) -> tuple:
 class Poly:
     """Immutable sparse polynomial: exponent tuple -> non-zero rational."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "terms", "_hash")
 
     def __init__(self, n: int, terms: dict | None = None, *, _clean: bool = False):
         object.__setattr__(self, "n", int(n))
@@ -51,6 +51,7 @@ class Poly:
                 if len(e) != n or any(x < 0 for x in e):
                     raise ValueError(f"bad exponent vector {e} for n={n}")
         object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -223,7 +224,12 @@ class Poly:
         return self.n == other.n and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
+        # computed once: polynomials key the lru_cache memos
+        if self._hash is None:
+            object.__setattr__(
+                self, "_hash", hash((self.n, frozenset(self.terms.items())))
+            )
+        return self._hash
 
     # ------------------------------------------------------------------
     # symmetric group action

@@ -1,22 +1,29 @@
 """Graded ideals and quotient algebras of block-invariant polynomial rings.
 
 A presentation couples the invariant ring P_nu (polynomials fixed by the
-block subgroup of a composition) with a homogeneous ideal given by an
-explicit generator list.  Per-degree data is computed lazily: an
-orbit-sum monomial basis of P_nu in that degree, a sparse echelon of the
-ideal's degree slice, and the complement (non-pivot) columns which serve
-as the canonical graded basis of the quotient.
+block subgroup of a composition) with a homogeneous ideal J given by an
+explicit generator list.  Per-degree data is computed lazily: the
+orbit-sum monomial basis of P_nu in that degree and the canonical basis
+columns of the quotient.  The canonical basis is the non-pivot set of
+the echelon of J's degree slice that pivots on the smallest column in
+the global graded-lex order.  Both routes below produce that set.
 
-Every ideal slice is built by the one cached function ``_slice``, keyed
-on the variable blocks and the generator supply, so presentations over
-translated or zero-padded compositions share their slices.  ``_Echelon``
-is the only elimination in the package; it pivots on the smallest
-column in the global graded-lex order.  Row supply happens in two
-phases: first a near-triangular accelerator family (complete symmetric
-polynomials on block-prefix variable sets, which always lie in the base
-coinvariant ideal), then products of the actual generators, which alone
-span the degree slice.  Insertion stops early once the echelon reaches
-full rank.
+Standard presentations (the plain partial coinvariant algebra and the
+shape-cut quotients, e- and h-form) have all of e_1..e_n among their
+generators.  They are computed in the coinvariant algebra
+R = C[x]/(Lambda+), which has dimension n! and vanishes above degree
+n(n-1)/2 (``_r_slice``).  Monomials have memoised normal forms modulo
+the staircase Groebner basis, J R is built degree by degree, and the
+basis columns are the orbit sums independent modulo J R.  Every degree
+up to n(n-1)/2 is computed, so vanishing above the top is checked, not
+certified.
+
+Custom generator lists keep the orbit-sum route (``_slice``): the ideal
+slice is echeloned in orbit-sum coordinates of P_nu, and vanishing above
+the top is certified over max(nu.parts) degrees.  Both routes are
+lru_cache'd on the variable blocks and the generators, so presentations
+over translated or zero-padded compositions share them.  ``_Echelon``
+is the only elimination in the package.
 """
 
 from __future__ import annotations
@@ -324,6 +331,12 @@ class _Echelon:
 
 
 class _DegreeData:
+    """One degree of a quotient in orbit-sum coordinates.
+
+    ``basis_cols`` are the canonical basis columns, the non-pivot columns
+    of the echelon of the ideal's degree slice.
+    """
+
     __slots__ = ("exps", "col_of", "echelon", "basis_cols")
 
     def __init__(self, exps, col_of, echelon, basis_cols):
@@ -331,6 +344,10 @@ class _DegreeData:
         self.col_of = col_of
         self.echelon = echelon
         self.basis_cols = basis_cols
+
+    def reduce(self, vec: list) -> list:
+        """Coefficients on the basis columns of an orbit-coordinate vector."""
+        return self.echelon.reduce(vec)
 
 
 def _coordinatize(f: Poly, col_of: dict, blocks: tuple) -> list:
@@ -352,7 +369,7 @@ def _slice(blocks: tuple, n: int, supply: tuple, d: int) -> _DegreeData:
 
     Rows are generator times orbit-sum products, fed in supply order
     until the echelon reaches full rank; a constant generator fills
-    every column by itself.
+    every column by itself.  The non-pivot columns are the basis.
     """
     exps = _canonical_exps(blocks, n, d)
     col_of = {e: i for i, e in enumerate(exps)}
@@ -371,41 +388,235 @@ def _slice(blocks: tuple, n: int, supply: tuple, d: int) -> _DegreeData:
 
 
 # ----------------------------------------------------------------------
-# presentations
+# the coinvariant algebra R = C[x]/(Lambda+)
+#
+# The complete symmetric polynomials g_c = h_{n-c+1}(x_1..x_c), c = 1..n,
+# are a Groebner basis of the ideal Lambda+ under lex order with
+# x_n > ... > x_1: the lead of g_c is x_c^{n-c+1}, and pure powers of
+# distinct variables pass Buchberger's criterion.  The standard
+# monomials x^a with a_c <= n-c, n! of them, are a basis of R, which
+# vanishes above degree n(n-1)/2.  Rows over R are sorted sparse lists
+# indexed by the position of a standard monomial in the mixed radix of
+# _radix_weights, so columns 0..n!-1 are R and tags start at n!.
 
 
 @lru_cache(maxsize=None)
-def _base_supply(nu_key: tuple) -> tuple:
-    """Short generating set for the coinvariant ideal of ``nu``.
+def _radix_weights(n: int) -> tuple:
+    """Place values of the mixed radix a_1 + n a_2 + n(n-1) a_3 + ..."""
+    out = [1]
+    for j in range(1, n):
+        out.append(out[-1] * (n - j + 1))
+    return tuple(out)
 
-    Starts from the staircase family h_{n-c+1} on the first c variables,
-    c running over the block prefix sums.  Each member lies in the ideal
-    because h_r of a leading block union expands over the complementary
-    blocks with positive-degree full symmetric factors once r exceeds
-    the complement size.  Membership of every full e_r in the family
-    ideal is then certified degree by degree; any e_r that fails the
-    check is appended, so the returned set generates the ideal exactly.
-    """
-    nu = Composition(nu_key[0], list(nu_key[1]))
-    n = nu.n
-    blocks = _blocks_of(nu)
-    prefixes = sorted({stop for _, stop in blocks})
-    family = tuple(
-        h_sym(n, tuple(range(1, c + 1)), n - c + 1) for c in prefixes
+
+def _exp_at(n: int, col: int) -> tuple:
+    """The standard monomial at position col, 0 <= col < n!."""
+    return tuple((col // w) % (n - j) for j, w in enumerate(_radix_weights(n)))
+
+
+@lru_cache(maxsize=None)
+def _r_dims(n: int) -> tuple:
+    """dim R_d for d = 0..n(n-1)/2: the coefficients of [n]_q!."""
+    dims = [1]
+    for k in range(2, n + 1):
+        dims = [sum(dims[max(d - k + 1, 0) : d + 1]) for d in range(len(dims) + k - 1)]
+    return tuple(dims)
+
+
+@lru_cache(maxsize=None)
+def _staircase_rest(n: int, i: int) -> tuple:
+    """Terms of g_{i+1} other than its lead, as exponents of x_1..x_{i+1}."""
+    r = n - i
+    return tuple(
+        head + (r - sum(head),)
+        for head in itertools.product(range(r + 1), repeat=i)
+        if 0 < sum(head) <= r
     )
-    if not family:
-        return ()
-    extras = []
-    for r in range(1, n + 1):
-        data = _slice(blocks, n, family, r)
-        target = e_sym(n, range(1, n + 1), r)
-        if data.echelon.reduce(_coordinatize(target, data.col_of, blocks)):
-            extras.append(target)
-    return family + tuple(extras)
+
+
+@lru_cache(maxsize=None)
+def _nf_monomial(n: int, exp: tuple) -> dict:
+    """Normal form of x^exp in R: standard position -> integer coefficient.
+
+    The lead of the highest variable that is too high is replaced by
+    minus the rest of its g_c.  Higher variables are untouched and x_c
+    drops, so each rewrite is lex-smaller and the recursion ends.  No
+    division occurs, since every g_c is monic.
+    """
+    high = [j for j in range(n) if exp[j] >= n - j]
+    if not high:
+        return {sum(a * w for a, w in zip(exp, _radix_weights(n))): 1}
+    out: dict = {}
+    if sum(exp) > n * (n - 1) // 2:
+        return out
+    i = high[-1]
+    low = list(exp[: i + 1])
+    low[i] -= n - i
+    for rest in _staircase_rest(n, i):
+        m = tuple(a + b for a, b in zip(low, rest)) + exp[i + 1 :]
+        for c, v in _nf_monomial(n, m).items():
+            out[c] = out.get(c, 0) - v
+    return {c: v for c, v in out.items() if v}
+
+
+def _nf_row(n: int, f: Poly) -> list:
+    """Row over R of the normal form of f."""
+    acc: dict = {}
+    for exp, c in f.terms.items():
+        for col, v in _nf_monomial(n, exp).items():
+            acc[col] = acc.get(col, 0) + c * v
+    return sorted((col, v) for col, v in acc.items() if v != 0)
+
+
+def _times_var(n: int, row: list, j: int) -> list:
+    """Row over R of x_j (0-based) times a row."""
+    acc: dict = {}
+    for col, c in row:
+        exp = _exp_at(n, col)
+        up = exp[:j] + (exp[j] + 1,) + exp[j + 1 :]
+        for k, v in _nf_monomial(n, up).items():
+            acc[k] = acc.get(k, 0) + c * v
+    return sorted((k, v) for k, v in acc.items() if v != 0)
+
+
+@lru_cache(maxsize=None)
+def _ideal_in_r(n: int, gens: tuple, d: int) -> _Echelon:
+    """Echelon of (JR)_d, the degree-d part of the ideal of R that gens generate.
+
+    (JR)_d is spanned by the normal forms of the degree-d generators and
+    by x_j (JR)_{d-1} for j < n, since x_n = -(x_1 + ... + x_{n-1}) in R;
+    rows stop once they fill R_d.
+    """
+    ech = _Echelon()
+    full = _r_dims(n)[d] if d < len(_r_dims(n)) else 0
+    if full == 0:
+        return ech
+    below = _ideal_in_r(n, gens, d - 1).pivots.values() if d else ()
+    rows = itertools.chain(
+        (_nf_row(n, g) for g in gens if g.degree() == 2 * d),
+        (_times_var(n, row, j) for row in below for j in range(n - 1)),
+    )
+    for row in rows:
+        if ech.rank == full:
+            break
+        ech.insert(row)
+    return ech
+
+
+class _RDegreeData(_DegreeData):
+    """One degree computed in R; coordinates are found on first use.
+
+    ``echelon`` holds (JR)_d and the basis columns' rows, each with a tag
+    entry at n! + column.  A column reduces to its own tag plus minus its
+    coefficients on the basis columns' tags, as in glaction.decompose_over.
+    """
+
+    __slots__ = ("blocks", "n", "coords")
+
+    def __init__(self, blocks, n, exps, echelon, basis_cols, coords):
+        super().__init__(
+            exps, {e: i for i, e in enumerate(exps)}, echelon, basis_cols
+        )
+        self.blocks = blocks
+        self.n = n
+        self.coords = coords
+
+    def express(self, c: int) -> tuple:
+        """Coefficients of column c on the basis columns."""
+        if self.coords[c] is None:
+            tag = math.factorial(self.n)
+            orbit = _orbit_poly(self.blocks, self.n, self.exps[c])
+            red = self.echelon.reduce(_nf_row(self.n, orbit) + [(tag + c, QONE)])
+            # red[0] is the column's own tag, with coefficient 1
+            self.coords[c] = tuple((u - tag, -v) for u, v in red[1:])
+        return self.coords[c]
+
+    def reduce(self, vec: list) -> list:
+        acc: dict = {}
+        for col, v in vec:
+            for u, a in self.express(col):
+                acc[u] = acc.get(u, 0) + v * a
+        return sorted((u, a) for u, a in acc.items() if a != 0)
+
+
+_EMPTY_DEGREE = _DegreeData((), {}, None, ())
+
+
+@lru_cache(maxsize=None)
+def _r_slice(blocks: tuple, n: int, gens: tuple, d: int) -> _DegreeData:
+    """Degree d of P_nu / J computed inside R, for J containing Lambda+.
+
+    An invariant f lies in J iff its normal form lies in JR.  The normal
+    form lies in JR iff f lies in J C[x] + Lambda+ C[x], which is J C[x]
+    as J contains Lambda+.  And J C[x] cap P_nu = J: if f = sum g_i q_i
+    with g_i in J, the Reynolds operator of the block group (the average
+    over it, in characteristic 0) is P_nu-linear and fixes f, so
+    f = sum g_i avg(q_i) lies in J.
+
+    W_d, the image of P_nu in R_d plus (JR)_d, is (JR)_d plus, for d > 0,
+    every blockwise e_r times a basis vector of degree d - r: the
+    blockwise e_r generate P_nu as an algebra, and e_r (JR) lies in JR.
+    Orbit columns are then scanned from the largest down; a column is a
+    basis column when its normal form is independent of (JR)_d and the
+    basis columns kept so far, and the scan stops once they span W_d.
+    That is the non-pivot set of the orbit echelon: column c is a pivot
+    there iff its orbit sum lies in the span of the larger columns plus J.
+    """
+    if d == 0:
+        spanning = [[(0, QONE)]]
+    else:
+        spanning = [
+            _nf_row(n, e_sym(n, range(start + 1, stop + 1), r) * basis_vector)
+            for start, stop in blocks
+            for r in range(1, min(stop - start, d) + 1)
+            for basis_vector in _r_basis(blocks, n, gens, d - r)
+        ]
+    if not any(spanning):
+        return _EMPTY_DEGREE
+    ideal = _ideal_in_r(n, gens, d)
+    span = _Echelon()
+    span.pivots = dict(ideal.pivots)
+    for row in spanning:
+        span.insert(row)
+    if span.rank == ideal.rank:
+        return _EMPTY_DEGREE
+    exps = _canonical_exps(blocks, n, d)
+    coords: list = [None] * len(exps)
+    tag = math.factorial(n)
+    ech = _Echelon()
+    ech.pivots = dict(ideal.pivots)
+    basis = []
+    for c in reversed(range(len(exps))):
+        if ech.rank == span.rank:
+            break
+        row = _nf_row(n, _orbit_poly(blocks, n, exps[c]))
+        red = ech.reduce(row + [(tag + c, QONE)])
+        if red[0][0] < tag:
+            ech.insert(red)
+            basis.append(c)
+            coords[c] = ((c, QONE),)
+        else:
+            coords[c] = tuple((u - tag, -v) for u, v in red[1:])
+    return _RDegreeData(blocks, n, exps, ech, tuple(sorted(basis)), coords)
+
+
+def _r_basis(blocks: tuple, n: int, gens: tuple, d: int) -> list:
+    data = _r_slice(blocks, n, gens, d)
+    return [_orbit_poly(blocks, n, data.exps[c]) for c in data.basis_cols]
+
+
+# ----------------------------------------------------------------------
+# presentations
 
 
 class QuotientPresentation:
-    """A block-invariant polynomial ring modulo a homogeneous ideal."""
+    """A block-invariant polynomial ring modulo a homogeneous ideal.
+
+    ``form`` is set ("e" or "h") only on the standard presentations,
+    whose generators include all of e_1..e_n; their degree pieces are
+    computed in R.  Custom generator lists (``form`` None) use the
+    orbit-sum echelon of P_nu.
+    """
 
     def __init__(
         self,
@@ -413,18 +624,18 @@ class QuotientPresentation:
         generators: Sequence[Poly],
         *,
         mu=None,
+        form=None,
         top_degree=None,
-        accelerated: bool = False,
         label: str = "",
     ):
         self.nu = nu
         self.n = nu.n
         self.mu = mu
+        self.form = form
         # a zero generator generates nothing
         self.generators = [g for g in generators if not g.is_zero]
         self.label = label or f"quotient over {nu!r}"
         self._blocks = _blocks_of(nu)
-        self._accelerated = accelerated
         for g in self.generators:
             if g.n != self.n:
                 raise ValueError("generator has wrong variable count")
@@ -436,8 +647,12 @@ class QuotientPresentation:
         )
         # top degree in the doubled grading, None when unknown or zero
         self._top = top_degree
-        # vanishing certificate length; see _verify_vanishing
-        self._window = max(nu.parts, default=0)
+        # degrees above the top that _verify_vanishing computes: up to
+        # n(n-1)/2 in R, max(nu.parts) for the orbit-sum certificate
+        if form is None:
+            self._window = max(nu.parts, default=0)
+        else:
+            self._window = self.n * (self.n - 1) // 2 - (top_degree or 0) // 2
         self._cache: dict = {}
         # only the zero algebra and P_nu with no variables are finite
         # without a certificate; an empty generator list is not
@@ -465,26 +680,10 @@ class QuotientPresentation:
     def _degree_data(self, d: int) -> _DegreeData:
         data = self._cache.get(d)
         if data is None:
-            data = _slice(self._blocks, self.n, self._supply(), d)
+            build = _slice if self.form is None else _r_slice
+            data = build(self._blocks, self.n, tuple(self.generators), d)
             self._cache[d] = data
         return data
-
-    def _supply(self) -> tuple:
-        """Generators actually fed to the echelon.
-
-        Accelerated presentations prepend the short certified base
-        supply, whose ideal equals the plain coinvariant ideal; for a
-        shape-cut quotient that ideal is contained in the one generated
-        here (the generator list always includes the full-variable e or
-        h sequence), so the span per degree is unchanged while pivots
-        arrive from near-triangular rows.
-        """
-        if not self._accelerated:
-            return tuple(self.generators)
-        base = _base_supply(self.nu.key())
-        if self.mu is None:
-            return base
-        return base + tuple(self.generators)
 
     # -- public queries -------------------------------------------------
 
@@ -495,25 +694,28 @@ class QuotientPresentation:
         if self.is_zero_algebra:
             return 0
         di = d // 2
-        top = self._top_int()
-        if di <= top + self._window:
-            data = self._degree_data(di)
-            return len(data.basis_cols)
+        if di <= self._top_int() + self._window:
+            return len(self._degree_data(di).basis_cols)
         self._verify_vanishing()
         return 0
 
     def _verify_vanishing(self) -> None:
-        """Certify that every degree above the top vanishes.
+        """Check that every degree above the top vanishes.
 
-        The ring P_nu is a tensor product of symmetric-polynomial rings,
-        one per block, so as an algebra it is generated by the blockwise
-        e_r, all of degree at most m = max(nu.parts).  A product of such
-        generators of degree d > top has partial products rising in steps
-        of at most m, so one of them has degree in [top+1, top+m]; if those
-        m slices are zero in the quotient, that partial product lies in the
-        ideal and so does the whole product.  Checking the m slices above
-        the top therefore certifies every higher degree, whatever the
-        generators of the ideal are.
+        In R (standard presentations) this is exact: R vanishes above
+        degree n(n-1)/2, and every degree from the top up to there is
+        computed by ``_r_slice``.
+
+        For custom generator lists this is a certificate.  The ring P_nu
+        is a tensor product of symmetric-polynomial rings, one per block,
+        so as an algebra it is generated by the blockwise e_r, all of
+        degree at most m = max(nu.parts).  A product of such generators of
+        degree d > top has partial products rising in steps of at most m,
+        so one of them has degree in [top+1, top+m]; if those m slices are
+        zero in the quotient, that partial product lies in the ideal and
+        so does the whole product.  Checking the m slices above the top
+        therefore certifies every higher degree, whatever the generators
+        of the ideal are.
         """
         if self._verified_above:
             return
@@ -528,12 +730,7 @@ class QuotientPresentation:
         self._verified_above = True
 
     def dim(self) -> int:
-        if self.is_zero_algebra:
-            return 0
-        top = self._top_int()
-        total = sum(len(self._degree_data(di).basis_cols) for di in range(top + 1))
-        self._verify_vanishing()
-        return total
+        return sum(self.hilbert().coeffs)
 
     def hilbert(self) -> IntPoly:
         """Graded dimensions as a polynomial in t, doubled grading."""
@@ -558,6 +755,11 @@ class QuotientPresentation:
             for i in data.basis_cols
         ]
 
+    def basis(self):
+        """Every canonical basis vector, degree by degree."""
+        for d in range(0, (self.top_degree or 0) + 1, 2):
+            yield from self.graded_basis(d)
+
     def normal_form(self, f: Poly) -> "QuotientElement":
         if f.n != self.n:
             raise ValueError("wrong variable count")
@@ -573,9 +775,10 @@ class QuotientPresentation:
                 self._verify_vanishing()
                 continue
             data = self._degree_data(di)
+            if not data.basis_cols:
+                continue
             vec = _coordinatize(comp, data.col_of, self._blocks)
-            red = data.echelon.reduce(vec)
-            for col, coef in red:
+            for col, coef in data.reduce(vec):
                 orbit = _orbit_poly(self._blocks, self.n, data.exps[col])
                 for exp, c in orbit.terms.items():
                     acc[exp] = acc.get(exp, 0) + coef * c
@@ -689,8 +892,8 @@ def _standard_presentation(nu: Composition, mu_c, form: str):
         return QuotientPresentation(
             nu,
             coinvariant_generators(nu),
+            form="e",
             top_degree=coinvariant_top_degree(nu),
-            accelerated=True,
             label=f"coinvariants of {nu!r}",
         )
     if form == "h":
@@ -708,8 +911,8 @@ def _standard_presentation(nu: Composition, mu_c, form: str):
         nu,
         gens,
         mu=mu_c,
+        form=form,
         top_degree=top,
-        accelerated=True,
         label=f"shape-cut quotient {lam.parts} over {nu!r}",
     )
 

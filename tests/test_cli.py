@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -294,6 +295,28 @@ def test_verify_rejects_oversized_n(capsys):
     code, _, err = run(capsys, ["verify", "--suite", "identities", "--n", "6"])
     assert code == 2
     assert "COINV_NMAX" in err
+
+
+def test_verify_rejects_oversized_window(capsys):
+    # about 36 million compositions of 3 on 601 indices
+    code, _, err = run(capsys, ["verify", "--suite", "dims", "--n", "3", "--window=-300,300"])
+    assert code == 2
+    assert "at most 250" in err
+
+
+def test_verify_accepts_default_window_at_suite_cap(capsys, monkeypatch):
+    # C(9, 5) = 126 compositions of 5 on (1, 5); a cheap suite keeps it quick
+    monkeypatch.setattr(cli, "_suite_ideals_equal", lambda n, window: [])
+    code, _, _ = run(capsys, ["verify", "--suite", "ideals-equal", "--n", "5"])
+    assert code == 0
+
+
+def test_dim_222_finishes(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["dim", "--nu", "2,2,2"])
+    assert code == 0
+    assert "dim = 90" in out
+    assert time.perf_counter() - start < 10
 
 
 def test_verify_unknown_suite_exits_two():

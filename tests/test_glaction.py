@@ -451,6 +451,22 @@ def test_component_cache_survives_presentation_cache_clear():
     )
 
 
+def test_h_form_family_images_stay_in_h_form():
+    mu = comp(1, 1)
+    window = (1, 2)
+    top = WeightFamily(
+        2, window, mu, {comp(2): presentation(comp(2), mu, form="h").one()}
+    )
+    low_h = presentation(comp(1, 1), mu, form="h")
+    lowered = top.apply("F", 1)
+    assert lowered.components[comp(1, 1)].pres is low_h
+    total = lowered + WeightFamily(2, window, mu, {comp(1, 1): low_h.one()})
+    assert total.components[comp(1, 1)].rep == Poly.var(2, 1) * 2 + Poly.one(2)
+    # the oracle route keeps the form as well
+    ks = KeySituation(1, comp(2))
+    assert apply_F_oracle(ks, top.components[comp(2)]).pres is low_h
+
+
 def test_window_overflow_on_nonzero_images_only():
     wf = WeightFamily.unit(comp(1), (1, 1))
     with pytest.raises(WindowOverflowError):

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coinv.errors import (
     NonTerminatingError,
@@ -11,6 +13,11 @@ from coinv.errors import (
 from coinv.polynomials import Poly, Q, e_sym, eps_nu, h_sym
 from coinv.quotients import (
     QuotientPresentation,
+    _canonical_exps,
+    _blocks_of,
+    _nf_monomial,
+    _orbit_poly,
+    _r_dims,
     antiinv_divide,
     coinvariant_generators,
     ideals_equal,
@@ -431,9 +438,15 @@ def test_vanishing_window_covers_generator_degrees():
         cuts = [None, *partitions_of(n)]
         for nu in compositions_of(n, (1, n)):
             for mu in cuts:
-                pres = presentation(nu, mu)
-                if pres.is_zero_algebra:
+                standard = presentation(nu, mu)
+                if standard.is_zero_algebra:
                     continue
+                # the certificate belongs to the orbit-sum route
+                pres = presentation(
+                    nu,
+                    generators=standard.generators,
+                    top_degree=standard.top_degree,
+                )
                 top = pres.top_degree // 2
                 for w in range(1, n + 1):
                     assert not pres._degree_data(top + w).basis_cols, (nu, mu, w)
@@ -521,3 +534,161 @@ def test_quotient_identity_report_small():
         "h_matches_signed_e_of_complement_in_quotient",
         "alternating_convolution_in_ideal",
     ]
+
+
+# ----------------------------------------------------------------------
+# the coinvariant algebra R = C[x]/(Lambda+)
+
+
+def int_poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def int_poly_div(a, b):
+    """Exact quotient of integer coefficient lists; b is monic."""
+    a = list(a)
+    out = [0] * (len(a) - len(b) + 1)
+    for i in range(len(out) - 1, -1, -1):
+        out[i] = a[i + len(b) - 1]
+        for j, y in enumerate(b):
+            a[i + j] -= out[i] * y
+    assert not any(a), "division not exact"
+    return out
+
+
+def q_factorial(k):
+    out = [1]
+    for j in range(1, k + 1):
+        out = int_poly_mul(out, [1] * j)
+    return out
+
+
+def q_multinomial_t2(parts):
+    """[n; parts] in q = t^2, as coefficients of t^0, t^1, ..."""
+    q = q_factorial(sum(parts))
+    for p in parts:
+        q = int_poly_div(q, q_factorial(p))
+    out = [0] * (2 * len(q) - 1)
+    out[::2] = q
+    return out
+
+
+def test_plain_hilbert_series_is_q_multinomial():
+    shapes = {tuple(nu.parts) for n in range(1, 6) for nu in positive_compositions(n)}
+    shapes |= {(2, 2, 2), (3, 3)}
+    assert len(shapes) == 33
+    for parts in sorted(shapes):
+        series = presentation(comp(*parts)).hilbert()
+        assert list(series.coeffs) == q_multinomial_t2(parts), parts
+
+
+def test_staircase_normal_form():
+    for n in range(1, 6):
+        assert list(_r_dims(n)) == q_factorial(n)
+        full = range(1, n + 1)
+        for r in range(1, n + 1):
+            total = {}
+            for exp in e_sym(n, full, r).terms:
+                for col, v in _nf_monomial(n, exp).items():
+                    total[col] = total.get(col, 0) + v
+            assert not any(total.values()), (n, r)
+        # x_1^n = h_n(x_1) lies in the ideal, and so does anything above n(n-1)/2
+        assert _nf_monomial(n, (n,) + (0,) * (n - 1)) == {}
+        assert _nf_monomial(n, (0,) * (n - 1) + (n * (n - 1) // 2 + 1,)) == {}
+
+
+def standard_pairs(n):
+    """(nu, mu, form) for every plain and shape-cut presentation over (1, n)."""
+    for nu in compositions_of(n, (1, n)):
+        yield nu, None, "e"
+        for mu in partitions_of(n):
+            for form in ("e", "h"):
+                yield nu, comp(*mu.parts), form
+
+
+def random_invariant(rng, nu, top):
+    """Integer combination of orbit sums of degree at most top + 1."""
+    blocks = _blocks_of(nu)
+    f = Poly.zero(nu.n)
+    for d in range(0, top + 2):
+        for exp in _canonical_exps(blocks, nu.n, d):
+            if rng.random() < 0.3:
+                f = f + _orbit_poly(blocks, nu.n, exp) * rng.randint(-3, 3)
+    return f
+
+
+def assert_engines_agree(nu, mu, form, rng, reference_form=None):
+    """The orbit-sum route gets the generators of reference_form (default: form)."""
+    pres = presentation(nu, mu, form=form)
+    if pres.is_zero_algebra:
+        return False
+    gens = presentation(nu, mu, form=reference_form or form).generators
+    orbit = presentation(nu, generators=gens, top_degree=pres.top_degree)
+    assert pres.hilbert() == orbit.hilbert(), (nu, mu, form)
+    for d in range(0, pres.top_degree + 1, 2):
+        got = [b.rep for b in pres.graded_basis(d)]
+        assert got == [b.rep for b in orbit.graded_basis(d)], (nu, mu, form, d)
+    for _ in range(3):
+        f = random_invariant(rng, nu, pres.top_degree // 2)
+        assert pres.normal_form(f).rep == orbit.normal_form(f).rep, (nu, mu, form)
+    return True
+
+
+def test_r_route_matches_orbit_sum_route():
+    """Standard presentations (computed in R) against the orbit-sum echelon."""
+    rng = random.Random(11)
+    checked = sum(
+        assert_engines_agree(nu, mu, form, rng)
+        for n in range(1, 5)
+        for nu, mu, form in standard_pairs(n)
+    )
+    assert checked == 293
+    # at n = 5 the orbit-sum route is too slow on the h-form generators
+    # (over 100 s for one pair), so it gets the e-form ones: the same ideal
+    sample = random.Random(5).sample(list(standard_pairs(5)), 12)
+    for nu, mu, form in sample:
+        assert_engines_agree(nu, mu, form, rng, reference_form="e")
+
+
+STANDARD_N4 = [
+    triple for n in range(1, 5) for triple in standard_pairs(n)
+    if not presentation(*triple[:2], form=triple[2]).is_zero_algebra
+]
+
+
+@st.composite
+def presentation_and_invariants(draw):
+    nu, mu, form = draw(st.sampled_from(STANDARD_N4))
+    pres = presentation(nu, mu, form=form)
+    seeds = draw(st.lists(st.integers(0, 2**32), min_size=2, max_size=2))
+    f, g = (
+        random_invariant(random.Random(s), nu, pres.top_degree // 2) for s in seeds
+    )
+    return pres, f, g
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(presentation_and_invariants(), st.integers(-4, 4), st.integers(-4, 4))
+def test_normal_form_properties(case, a, b):
+    pres, f, g = case
+    nf = pres.normal_form(f)
+    assert pres.normal_form(nf.rep) == nf
+    combo = pres.normal_form(f * a + g * b)
+    assert combo == nf * a + pres.normal_form(g) * b
+    for gen in pres.generators:
+        assert pres.normal_form(gen).is_zero
+
+
+def test_basis_sweeps_every_degree():
+    for nu, mu, form in [(comp(1, 2, 1), None, "e"), (comp(1, 2, 1), comp(2, 2), "h")]:
+        pres = presentation(nu, mu, form=form)
+        sweep = [
+            b for d in range(0, pres.top_degree + 1, 2) for b in pres.graded_basis(d)
+        ]
+        assert list(pres.basis()) == sweep
+        assert len(sweep) == pres.dim()
+    assert list(presentation(comp(2), comp(2)).basis()) == []
