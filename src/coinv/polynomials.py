@@ -37,7 +37,7 @@ def grlex_key(exp: tuple) -> tuple:
 class Poly:
     """Immutable sparse polynomial: exponent tuple -> non-zero rational."""
 
-    __slots__ = ("n", "terms", "_hash")
+    __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms: dict | None = None, *, _clean: bool = False):
         object.__setattr__(self, "n", int(n))
@@ -51,7 +51,6 @@ class Poly:
                 if len(e) != n or any(x < 0 for x in e):
                     raise ValueError(f"bad exponent vector {e} for n={n}")
         object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -224,12 +223,7 @@ class Poly:
         return self.n == other.n and self.terms == other.terms
 
     def __hash__(self):
-        # computed once: polynomials key the lru_cache memos
-        if self._hash is None:
-            object.__setattr__(
-                self, "_hash", hash((self.n, frozenset(self.terms.items())))
-            )
-        return self._hash
+        return hash((self.n, frozenset(self.terms.items())))
 
     # ------------------------------------------------------------------
     # symmetric group action

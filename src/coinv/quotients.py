@@ -14,13 +14,12 @@ generators.  They are computed in the coinvariant algebra
 R = C[x]/(Lambda+), which has dimension n! and vanishes above degree
 n(n-1)/2 (``_r_slice``).  Monomials have memoised normal forms modulo
 the staircase Groebner basis, J R is built degree by degree, and the
-basis columns are the orbit sums independent modulo J R.  Every degree
-up to n(n-1)/2 is computed, so vanishing above the top is checked, not
-certified.
+basis columns are the orbit sums independent modulo J R.
 
 Custom generator lists keep the orbit-sum route (``_slice``): the ideal
-slice is echeloned in orbit-sum coordinates of P_nu, and vanishing above
-the top is certified over max(nu.parts) degrees.  Both routes are
+slice is echeloned in orbit-sum coordinates of P_nu.  On either route,
+vanishing above the top is certified by the max(nu.parts) degrees above
+it (``QuotientPresentation._verify_vanishing``).  Both routes are
 lru_cache'd on the variable blocks and the generators, so presentations
 over translated or zero-padded compositions share them.  ``_Echelon``
 is the only elimination in the package.
@@ -503,6 +502,14 @@ def _ideal_in_r(n: int, gens: tuple, d: int) -> _Echelon:
     return ech
 
 
+def _tag_coords(red: list, tag: int) -> tuple:
+    """Coefficients on the basis columns of a column whose row, with its
+    tag entry, reduced to red: red[0] is the column's own tag, with
+    coefficient 1, and the other entries are minus the coefficients at
+    the basis columns' tags."""
+    return tuple((u - tag, -v) for u, v in red[1:])
+
+
 class _RDegreeData(_DegreeData):
     """One degree computed in R; coordinates are found on first use.
 
@@ -527,8 +534,7 @@ class _RDegreeData(_DegreeData):
             tag = math.factorial(self.n)
             orbit = _orbit_poly(self.blocks, self.n, self.exps[c])
             red = self.echelon.reduce(_nf_row(self.n, orbit) + [(tag + c, QONE)])
-            # red[0] is the column's own tag, with coefficient 1
-            self.coords[c] = tuple((u - tag, -v) for u, v in red[1:])
+            self.coords[c] = _tag_coords(red, tag)
         return self.coords[c]
 
     def reduce(self, vec: list) -> list:
@@ -596,7 +602,7 @@ def _r_slice(blocks: tuple, n: int, gens: tuple, d: int) -> _DegreeData:
             basis.append(c)
             coords[c] = ((c, QONE),)
         else:
-            coords[c] = tuple((u - tag, -v) for u, v in red[1:])
+            coords[c] = _tag_coords(red, tag)
     return _RDegreeData(blocks, n, exps, ech, tuple(sorted(basis)), coords)
 
 
@@ -612,10 +618,11 @@ def _r_basis(blocks: tuple, n: int, gens: tuple, d: int) -> list:
 class QuotientPresentation:
     """A block-invariant polynomial ring modulo a homogeneous ideal.
 
-    ``form`` is set ("e" or "h") only on the standard presentations,
-    whose generators include all of e_1..e_n; their degree pieces are
-    computed in R.  Custom generator lists (``form`` None) use the
-    orbit-sum echelon of P_nu.
+    ``form`` ("e" or "h") labels the generator form of a standard
+    presentation and is None for custom lists.  Only the standard
+    factory sets ``_in_r``: its generators include all of e_1..e_n, so
+    the degree pieces are computed in R.  Every other generator list
+    uses the orbit-sum echelon of P_nu, which is right for any ideal.
     """
 
     def __init__(
@@ -627,11 +634,13 @@ class QuotientPresentation:
         form=None,
         top_degree=None,
         label: str = "",
+        _in_r: bool = False,
     ):
         self.nu = nu
         self.n = nu.n
         self.mu = mu
         self.form = form
+        self._in_r = _in_r
         # a zero generator generates nothing
         self.generators = [g for g in generators if not g.is_zero]
         self.label = label or f"quotient over {nu!r}"
@@ -647,12 +656,8 @@ class QuotientPresentation:
         )
         # top degree in the doubled grading, None when unknown or zero
         self._top = top_degree
-        # degrees above the top that _verify_vanishing computes: up to
-        # n(n-1)/2 in R, max(nu.parts) for the orbit-sum certificate
-        if form is None:
-            self._window = max(nu.parts, default=0)
-        else:
-            self._window = self.n * (self.n - 1) // 2 - (top_degree or 0) // 2
+        # vanishing certificate length; see _verify_vanishing
+        self._window = max(nu.parts, default=0)
         self._cache: dict = {}
         # only the zero algebra and P_nu with no variables are finite
         # without a certificate; an empty generator list is not
@@ -680,7 +685,7 @@ class QuotientPresentation:
     def _degree_data(self, d: int) -> _DegreeData:
         data = self._cache.get(d)
         if data is None:
-            build = _slice if self.form is None else _r_slice
+            build = _r_slice if self._in_r else _slice
             data = build(self._blocks, self.n, tuple(self.generators), d)
             self._cache[d] = data
         return data
@@ -694,28 +699,25 @@ class QuotientPresentation:
         if self.is_zero_algebra:
             return 0
         di = d // 2
-        if di <= self._top_int() + self._window:
-            return len(self._degree_data(di).basis_cols)
+        top = self._top_int()
+        if di <= top + self._window:
+            data = self._degree_data(di)
+            return len(data.basis_cols)
         self._verify_vanishing()
         return 0
 
     def _verify_vanishing(self) -> None:
-        """Check that every degree above the top vanishes.
+        """Certify that every degree above the top vanishes.
 
-        In R (standard presentations) this is exact: R vanishes above
-        degree n(n-1)/2, and every degree from the top up to there is
-        computed by ``_r_slice``.
-
-        For custom generator lists this is a certificate.  The ring P_nu
-        is a tensor product of symmetric-polynomial rings, one per block,
-        so as an algebra it is generated by the blockwise e_r, all of
-        degree at most m = max(nu.parts).  A product of such generators of
-        degree d > top has partial products rising in steps of at most m,
-        so one of them has degree in [top+1, top+m]; if those m slices are
-        zero in the quotient, that partial product lies in the ideal and
-        so does the whole product.  Checking the m slices above the top
-        therefore certifies every higher degree, whatever the generators
-        of the ideal are.
+        The ring P_nu is a tensor product of symmetric-polynomial rings,
+        one per block, so as an algebra it is generated by the blockwise
+        e_r, all of degree at most m = max(nu.parts).  A product of such
+        generators of degree d > top has partial products rising in steps
+        of at most m, so one of them has degree in [top+1, top+m]; if those
+        m slices are zero in the quotient, that partial product lies in the
+        ideal and so does the whole product.  Checking the m slices above
+        the top therefore certifies every higher degree, whatever the
+        generators of the ideal are.
         """
         if self._verified_above:
             return
@@ -895,6 +897,7 @@ def _standard_presentation(nu: Composition, mu_c, form: str):
             form="e",
             top_degree=coinvariant_top_degree(nu),
             label=f"coinvariants of {nu!r}",
+            _in_r=True,
         )
     if form == "h":
         gens = tanisaki_generators_h(mu_c, nu)
@@ -914,6 +917,7 @@ def _standard_presentation(nu: Composition, mu_c, form: str):
         form=form,
         top_degree=top,
         label=f"shape-cut quotient {lam.parts} over {nu!r}",
+        _in_r=True,
     )
 
 
