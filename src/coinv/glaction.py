@@ -26,7 +26,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import NoSolutionError, NotInvariantError, WindowOverflowError
-from .polynomials import Poly, Q, QONE, divided_difference, e_block, h_block
+from .polynomials import Poly, Q, _coefs, divided_difference, e_block, h_block
 from .quotients import (
     QuotientElement,
     _blocks_of,
@@ -193,7 +193,7 @@ def _decomp_system(nu: Composition, i: int, side: str, deg: int):
             row = _coordinatize(
                 power * _orbit_poly(base_blocks, n, mexp), col_of, rho_blocks
             )
-            row.append((len(col_of) + len(unknowns), QONE))
+            row.append((len(col_of) + len(unknowns), 1))
             unknowns.append((r, mexp))
             ech.insert(row)
     return ech, tuple(unknowns), col_of, rho_blocks, base_blocks
@@ -235,20 +235,25 @@ def decompose_over(ks: KeySituation, f, side: str) -> list:
                     acc[r][e] = cur
                 else:
                     acc[r].pop(e, None)
-    return [Poly(n, terms, _clean=True) for terms in acc]
+    return [Poly(n, _coefs(terms), _clean=True) for terms in acc]
 
 
 # ----------------------------------------------------------------------
 # module-level (basis formula) operators
 
 
-def _power_image(ks: KeySituation, r: int, src: Side, dst: Side) -> Poly:
-    """Image of x_k^r under the pushforward composite from src to dst.
+@lru_cache(maxsize=None)
+def _power_image(nu: Composition, i: int, r: int, side: str) -> Poly:
+    """Image of x_k^r under the pushforward composite off the named side.
 
+    With src the named side of KeySituation(i, nu) and dst the other:
     (-1)^a sum_j (-1)^j e_j(Y) h_{r-j+top_src-top_dst}(X), with Y and X
     the blocks src.block and dst.block of the target ring dst.base; one
     of the two signs is (-1)^a and the other +1.
     """
+    ks = KeySituation(i, nu)
+    src = ks.side(side)
+    dst = ks.opposite(src)
     out = Poly.zero(ks.n)
     for j in range(0, src.top + 1):
         term = e_block(dst.base, [src.block], j) * h_block(
@@ -265,7 +270,7 @@ def _apply_oracle(ks: KeySituation, z: QuotientElement, src: Side):
     acc = Poly.zero(ks.n)
     for r, zr in enumerate(decompose_over(ks, z.rep, dst.name)):
         if not zr.is_zero:
-            acc = acc + zr * _power_image(ks, r, src, dst)
+            acc = acc + zr * _power_image(ks.nu, ks.i, r, src.name)
     return target.normal_form(acc)
 
 

@@ -5,6 +5,14 @@ precision rational coefficients.  Each variable carries cohomological
 degree two, so every externally reported degree is twice the exponent
 sum; internal bookkeeping uses plain exponent sums throughout.
 
+Coefficient rule: a coefficient is a Python int when it is integral and
+a Q (``fractions.Fraction``, or ``gmpy2.mpq`` when installed) only when
+it is genuinely fractional.  ``_coef`` states the rule once; every
+constructor and every operation that can turn a fraction integral goes
+through it, and every division goes through Q, so no float can appear.
+Q(3) == 3 with equal hashes, so the rule changes no comparison; it only
+keeps the common integer case off the slow rational arithmetic.
+
 The canonical term order is graded lexicographic: compare total exponent
 first, then exponent vectors left to right (so x_1 beats x_2 within a
 degree).
@@ -26,8 +34,27 @@ try:
 except ImportError:  # gmpy2 is the optional "fast" extra
     from fractions import Fraction as Q
 
-QZERO = Q(0)
 QONE = Q(1)
+
+
+def _coef(c):
+    """The coefficient rule: c as an int when integral, as a Q otherwise."""
+    if type(c) is int:
+        return c
+    c = Q(c)
+    return int(c.numerator) if c.denominator == 1 else c
+
+
+def _all_int(terms: dict) -> bool:
+    """Whether every coefficient of a term dict is an int."""
+    return set(map(type, terms.values())) <= {int}
+
+
+def _coefs(terms: dict) -> dict:
+    """The non-zero terms of a dict, every coefficient under the rule."""
+    return {
+        e: c if type(c) is int else _coef(c) for e, c in terms.items() if c != 0
+    }
 
 
 def grlex_key(exp: tuple) -> tuple:
@@ -35,7 +62,11 @@ def grlex_key(exp: tuple) -> tuple:
 
 
 class Poly:
-    """Immutable sparse polynomial: exponent tuple -> non-zero rational."""
+    """Immutable sparse polynomial: exponent tuple -> non-zero rational.
+
+    ``_clean=True`` skips validation: the caller promises valid exponents
+    and non-zero coefficients that already follow the coefficient rule.
+    """
 
     __slots__ = ("n", "terms")
 
@@ -44,9 +75,7 @@ class Poly:
         if terms is None:
             terms = {}
         if not _clean:
-            terms = {
-                tuple(e): Q(c) for e, c in terms.items() if c != 0
-            }
+            terms = _coefs({tuple(e): c for e, c in terms.items()})
             for e in terms:
                 if len(e) != n or any(x < 0 for x in e):
                     raise ValueError(f"bad exponent vector {e} for n={n}")
@@ -64,7 +93,7 @@ class Poly:
 
     @classmethod
     def const(cls, n: int, c) -> "Poly":
-        c = Q(c)
+        c = _coef(c)
         if c == 0:
             return cls.zero(n)
         return cls(n, {(0,) * n: c}, _clean=True)
@@ -79,11 +108,11 @@ class Poly:
         if not 1 <= i <= n:
             raise ValueError(f"variable index {i} out of range 1..{n}")
         exp = tuple(1 if j == i - 1 else 0 for j in range(n))
-        return cls(n, {exp: QONE}, _clean=True)
+        return cls(n, {exp: 1}, _clean=True)
 
     @classmethod
     def monomial(cls, n: int, exp: Sequence[int], c=1) -> "Poly":
-        c = Q(c)
+        c = _coef(c)
         if c == 0:
             return cls.zero(n)
         exp = tuple(int(x) for x in exp)
@@ -126,10 +155,10 @@ class Poly:
         return e, self.terms[e]
 
     def coefficient(self, exp: Sequence[int]):
-        return self.terms.get(tuple(exp), QZERO)
+        return self.terms.get(tuple(exp), 0)
 
     def constant(self):
-        return self.terms.get((0,) * self.n, QZERO)
+        return self.terms.get((0,) * self.n, 0)
 
     # ------------------------------------------------------------------
     # arithmetic
@@ -157,7 +186,7 @@ class Poly:
                 if s == 0:
                     del terms[e]
                 else:
-                    terms[e] = s
+                    terms[e] = s if type(s) is int else _coef(s)
         return Poly(self.n, terms, _clean=True)
 
     __radd__ = __add__
@@ -173,12 +202,13 @@ class Poly:
 
     def __mul__(self, other) -> "Poly":
         if not isinstance(other, Poly):
-            c = Q(other)
+            c = _coef(other)
             if c == 0:
                 return Poly.zero(self.n)
-            return Poly(
-                self.n, {e: k * c for e, k in self.terms.items()}, _clean=True
-            )
+            terms = {e: k * c for e, k in self.terms.items()}
+            if type(c) is not int or not _all_int(terms):
+                terms = _coefs(terms)
+            return Poly(self.n, terms, _clean=True)
         if other.n != self.n:
             raise ValueError("mixed variable counts")
         if not self.terms or not other.terms:
@@ -199,6 +229,8 @@ class Poly:
                         del out[e]
                     else:
                         out[e] = s
+        if not (_all_int(a) and _all_int(b)):
+            out = _coefs(out)
         return Poly(self.n, out, _clean=True)
 
     __rmul__ = __mul__
@@ -291,9 +323,8 @@ class Poly:
         for item in data:
             exp = tuple(int(x) for x in item["exp"])
             c = Q(int(item["num"]), int(item["den"]))
-            if c != 0:
-                terms[exp] = terms.get(exp, QZERO) + c
-        return cls(n, {e: c for e, c in terms.items() if c != 0})
+            terms[exp] = terms.get(exp, 0) + c
+        return cls(n, terms)
 
 
 # ----------------------------------------------------------------------
@@ -388,7 +419,7 @@ def exact_divide(f: Poly, g: Poly) -> Poly:
         qe = tuple(a - b for a, b in zip(re, ge))
         if any(x < 0 for x in qe):
             raise NotDivisibleError(f"leading term x^{re} not divisible by x^{ge}")
-        qc = rc / gc
+        qc = _coef(Q(rc) / gc)
         quotient[qe] = qc
         rem = rem - Poly.monomial(n, qe, qc) * g
     return Poly(n, quotient)
@@ -415,8 +446,8 @@ def divided_difference(f: Poly, j: int) -> Poly:
         head, tail = e[: j - 1], e[j + 1 :]
         for t in range(p - q):
             e2 = head + (p - 1 - t, q + t) + tail
-            out[e2] = out.get(e2, QZERO) + c
-    return Poly(n, {e: c for e, c in out.items() if c != 0}, _clean=True)
+            out[e2] = out.get(e2, 0) + c
+    return Poly(n, _coefs(out), _clean=True)
 
 
 # ----------------------------------------------------------------------
@@ -436,7 +467,7 @@ def _e_cached(n: int, vars_: tuple, r: int) -> Poly:
         exp = [0] * n
         for j in combo:
             exp[j - 1] = 1
-        terms[tuple(exp)] = QONE
+        terms[tuple(exp)] = 1
     return Poly(n, terms, _clean=True)
 
 
@@ -453,7 +484,7 @@ def _h_cached(n: int, vars_: tuple, r: int) -> Poly:
         exp = [0] * n
         for j in combo:
             exp[j - 1] += 1
-        terms[tuple(exp)] = QONE
+        terms[tuple(exp)] = 1
     return Poly(n, terms, _clean=True)
 
 

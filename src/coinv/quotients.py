@@ -41,6 +41,8 @@ from .polynomials import (
     Poly,
     Q,
     QONE,
+    _coef,
+    _coefs,
     antisymmetrize,
     e_sym,
     eps_nu,
@@ -64,6 +66,7 @@ from .tableaux import IntPoly
 # block combinatorics of exponent vectors
 
 
+@lru_cache(maxsize=None)
 def _blocks_of(nu: Composition) -> tuple:
     """Half-open 0-based (start, stop) spans of the non-empty blocks."""
     out = []
@@ -91,6 +94,7 @@ def _is_canonical(exp: tuple, blocks: tuple) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
 def _orbit_size(exp: tuple, blocks: tuple) -> int:
     total = 1
     for start, stop in blocks:
@@ -159,7 +163,7 @@ def _orbit_poly(blocks: tuple, n: int, exp: tuple) -> Poly:
 
     def gen(b: int, acc: list):
         if b == len(per_block):
-            terms[tuple(acc)] = QONE
+            terms[tuple(acc)] = 1
             return
         start, stop, arrangements = per_block[b]
         for seg in arrangements:
@@ -171,16 +175,22 @@ def _orbit_poly(blocks: tuple, n: int, exp: tuple) -> Poly:
 
 
 def is_block_invariant(f: Poly, nu: Composition) -> bool:
+    """Whether f is fixed by the block subgroup of nu.
+
+    Each term's coefficient must equal its canonical term's, so every
+    orbit present has one coefficient; the term count then equals the
+    sum of those orbits' sizes exactly when every orbit is complete.
+    """
     blocks = _blocks_of(nu)
-    groups: dict = {}
-    for exp, c in f.terms.items():
-        groups.setdefault(_canonical_exp(exp, blocks), []).append(c)
-    for canon, coeffs in groups.items():
-        if len(coeffs) != _orbit_size(canon, blocks):
+    terms = f.terms
+    count = 0
+    for exp, c in terms.items():
+        canon = _canonical_exp(exp, blocks)
+        if terms.get(canon) != c:
             return False
-        if any(c != coeffs[0] for c in coeffs[1:]):
-            return False
-    return True
+        if canon == exp:
+            count += _orbit_size(canon, blocks)
+    return count == len(terms)
 
 
 def ensure_block_invariant(f: Poly, nu: Composition) -> None:
@@ -309,8 +319,10 @@ class _Echelon:
             col, coef = row[0]
             piv = self.pivots.get(col)
             if piv is None:
-                inv = QONE / coef
-                self.pivots[col] = [(c, v * inv) for c, v in row]
+                if coef != 1:
+                    inv = QONE / coef
+                    row = [(c, _coef(v * inv)) for c, v in row]
+                self.pivots[col] = row
                 return True
             row = _row_sub(row, coef, piv)
         return False
@@ -533,7 +545,7 @@ class _RDegreeData(_DegreeData):
         if self.coords[c] is None:
             tag = math.factorial(self.n)
             orbit = _orbit_poly(self.blocks, self.n, self.exps[c])
-            red = self.echelon.reduce(_nf_row(self.n, orbit) + [(tag + c, QONE)])
+            red = self.echelon.reduce(_nf_row(self.n, orbit) + [(tag + c, 1)])
             self.coords[c] = _tag_coords(red, tag)
         return self.coords[c]
 
@@ -569,7 +581,7 @@ def _r_slice(blocks: tuple, n: int, gens: tuple, d: int) -> _DegreeData:
     there iff its orbit sum lies in the span of the larger columns plus J.
     """
     if d == 0:
-        spanning = [[(0, QONE)]]
+        spanning = [[(0, 1)]]
     else:
         spanning = [
             _nf_row(n, e_sym(n, range(start + 1, stop + 1), r) * basis_vector)
@@ -596,11 +608,11 @@ def _r_slice(blocks: tuple, n: int, gens: tuple, d: int) -> _DegreeData:
         if ech.rank == span.rank:
             break
         row = _nf_row(n, _orbit_poly(blocks, n, exps[c]))
-        red = ech.reduce(row + [(tag + c, QONE)])
+        red = ech.reduce(row + [(tag + c, 1)])
         if red[0][0] < tag:
             ech.insert(red)
             basis.append(c)
-            coords[c] = ((c, QONE),)
+            coords[c] = ((c, 1),)
         else:
             coords[c] = _tag_coords(red, tag)
     return _RDegreeData(blocks, n, exps, ech, tuple(sorted(basis)), coords)
@@ -784,7 +796,7 @@ class QuotientPresentation:
                 orbit = _orbit_poly(self._blocks, self.n, data.exps[col])
                 for exp, c in orbit.terms.items():
                     acc[exp] = acc.get(exp, 0) + coef * c
-        rep = Poly(self.n, {e: c for e, c in acc.items() if c != 0}, _clean=True)
+        rep = Poly(self.n, _coefs(acc), _clean=True)
         return QuotientElement(self, rep)
 
     def contains(self, f: Poly) -> bool:

@@ -217,7 +217,14 @@ def canonical_shape(mu: Iterable[int]) -> Composition:
 
     Accepts any iterable of parts (list, tuple, Partition, Composition);
     zero parts are dropped, so every spelling of one shape gives one key.
+    An already canonical Composition is returned unchanged.
     """
+    if (
+        isinstance(mu, Composition)
+        and mu.lo == 1
+        and all(a >= b for a, b in zip(mu.parts, mu.parts[1:]))
+    ):
+        return mu
     return Composition(1, sort_to_partition(mu).parts)
 
 

@@ -401,19 +401,3 @@ def adjunction_report(n: int, window) -> Report:
     report.add("middle_multiplication_side_independent", ok_central)
     report.add("duality_map_base_linear", ok_linear)
     return report
-
-
-def delta_matrix_json(ks: KeySituation) -> dict:
-    """Values of the duality map on basis powers, for inspection."""
-    xk = Poly.var(ks.n, ks.k)
-    rows = []
-    for r in range(ks.a + 1):
-        hom = delta(ks, xk**r)
-        rows.append([v.to_json() for v in hom.values])
-    return {
-        "nu": ks.nu.to_json(),
-        "i": ks.i,
-        "a": ks.a,
-        "b": ks.b,
-        "rows": rows,
-    }

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coinv.errors import NotDivisibleError
 from coinv.polynomials import (
@@ -395,3 +397,108 @@ class TestIdentitySuite:
             assert report.passed, str(report)
         names = [c.name for c in verify_identity_suite(2, 2).checks]
         assert len(names) == 7
+
+
+# ----------------------------------------------------------------------
+# properties: ring axioms and the coefficient rule
+
+N = 3
+# coefficients drawn both as ints and as Q values, integral or not
+COEFFS = st.one_of(
+    st.integers(-6, 6), st.builds(Q, st.integers(-6, 6), st.integers(1, 4))
+)
+POLYS = st.dictionaries(
+    st.tuples(*[st.integers(0, 2)] * N), COEFFS, max_size=4
+).map(lambda terms: Poly(N, terms))
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+def follows_coefficient_rule(f):
+    """Every coefficient is an int, or a Q that is not integral."""
+    return all(
+        type(c) is int or (isinstance(c, Q) and c.denominator != 1)
+        for c in f.terms.values()
+    )
+
+
+@PROPERTY
+@given(POLYS, POLYS, POLYS)
+def test_ring_axioms(f, g, h):
+    assert (f + g) + h == f + (g + h)
+    assert (f * g) * h == f * (g * h)
+    assert f + g == g + f
+    assert f * g == g * f
+    assert f * (g + h) == f * g + f * h
+    assert (f + (-f)).is_zero
+    assert f - f == Poly.zero(N)
+
+
+@PROPERTY
+@given(POLYS)
+def test_int_and_q_spellings_agree(f):
+    as_q = {e: Q(c) for e, c in f.terms.items()}
+    # the constructor puts Q spellings under the rule
+    assert Poly(N, as_q).terms == f.terms
+    assert follows_coefficient_rule(Poly(N, as_q))
+    # a Q that skipped the rule still compares and hashes as its int
+    raw = Poly(N, as_q, _clean=True)
+    assert raw == f and hash(raw) == hash(f)
+
+
+@PROPERTY
+@given(POLYS, POLYS, st.integers(1, 6), st.integers(1, N - 1), st.sampled_from([(2, 1), (1, 2), (3,)]))
+def test_no_float_coefficients(f, g, k, j, parts):
+    nu = Composition(1, list(parts))
+    results = [
+        f + g,
+        f * g,
+        f * Q(k, 2),
+        f / k,
+        f / Q(k, 3),
+        divided_difference(f, j),
+        symmetrize(f, nu),
+        antisymmetrize(f, nu),
+    ]
+    if not g.is_zero:
+        results.append(exact_divide(f * g, g))
+    for r in results:
+        assert not any(isinstance(c, float) for c in r.terms.values())
+        assert follows_coefficient_rule(r)
+    if not g.is_zero:
+        assert results[-1] == f
+
+
+@PROPERTY
+@given(POLYS)
+def test_json_roundtrip_property(f):
+    back = Poly.from_json(N, f.to_json())
+    assert back == f
+    assert back.terms == f.terms
+    assert follows_coefficient_rule(back)
+
+
+def test_exact_divide_keeps_fractional_quotient_exact():
+    # rc / gc on two ints would give the float 1.5 here
+    q = exact_divide(Poly.monomial(2, (2, 0), 3), Poly.monomial(2, (1, 0), 2))
+    assert q == Poly.monomial(2, (1, 0), Q(3, 2))
+    assert q.terms == {(1, 0): Q(3, 2)}
+    assert isinstance(q.terms[(1, 0)], Q)
+    # and here a float that no exact conversion can repair
+    third = exact_divide(Poly.monomial(2, (2, 0), 1), Poly.monomial(2, (1, 0), 3))
+    assert third.terms == {(1, 0): Q(1, 3)}
+
+
+def test_integral_results_become_ints():
+    half = Poly.monomial(2, (1, 0), Q(1, 2))
+    x1, x2 = x(2, 1), x(2, 2)
+    results = [
+        half + half,
+        half * 2,
+        half * Poly.const(2, 2),
+        half / Q(1, 2),
+        divided_difference((x1 * x1 - x2 * x2) * Q(1, 2), 1),
+        symmetrize(x1 + x2, Composition(1, [2])),
+    ]
+    for r in results:
+        assert not r.is_zero
+        assert all(type(c) is int for c in r.terms.values()), r.terms

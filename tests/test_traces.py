@@ -18,7 +18,6 @@ from coinv.traces import (
     counit_eps_prime,
     delta,
     delta_inv,
-    delta_matrix_json,
     trace_E,
     trace_F,
     triangle_identity_check,
@@ -103,14 +102,6 @@ def test_hom_evaluation_extends_by_linearity():
             hom = delta(ks, g)
             for t in range(ks.a + 2):
                 assert hom.evaluate(xk**t) == push(ks, g.rep * xk**t, "nu")
-
-
-def test_delta_matrix_json_shape():
-    ks = KeySituation(1, comp(2))
-    data = delta_matrix_json(ks)
-    assert data["a"] == 1 and data["b"] == 0
-    assert len(data["rows"]) == 2
-    assert all(len(row) == 2 for row in data["rows"])
 
 
 # ----------------------------------------------------------------------
