@@ -14,6 +14,12 @@ sides "nu" and "nu_prime" of a key situation.  KeySituation builds one
 Side record per side; the pushforward, the power image and the power
 basis decomposition are each written once over such a record.
 
+The decomposition is block-local.  The refinement rho and a side's
+composition differ only in the block that holds x_k, so only that
+block's factor of each orbit sum is decomposed, over a small system in
+the block's own variables.  The system is built from exponents alone and
+memoised per block size, end of the block and degree.
+
 Operators on whole weight families (finitely supported sums over
 compositions in an index window) apply componentwise and add up
 collisions; an operator whose non-zero image would leave the window
@@ -26,14 +32,23 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import NoSolutionError, NotInvariantError, WindowOverflowError
-from .polynomials import Poly, Q, _coefs, divided_difference, e_block, h_block
+from .polynomials import (
+    Poly,
+    Q,
+    _coef,
+    _coefs,
+    divided_difference,
+    e_block,
+    h_block,
+)
 from .quotients import (
     QuotientElement,
     _blocks_of,
     _canonical_exps,
-    _coordinatize,
     _Echelon,
+    _is_canonical,
     _orbit_poly,
+    _wd_tuples,
     ensure_block_invariant,
     presentation,
     tanisaki_generators_h,
@@ -166,37 +181,56 @@ def apply_E_poly(ks: KeySituation, f: Poly) -> Poly:
 
 
 @lru_cache(maxsize=None)
-def _decomp_system(nu: Composition, i: int, side: str, deg: int):
-    """Tagged echelon of the power basis of one side in one degree slice.
+def _power_system(m: int, last: bool, deg: int):
+    """Tagged echelon of the power basis of one block in one degree slice.
 
-    The power basis is x_k^r times the orbit-sum basis vectors of the
-    side's invariant ring in complementary degree; it spans the degree
-    slice of the refined invariant ring freely, so the system is square.
-    Unknown u enters as its coordinates on the slice columns plus one tag
-    entry 1 at column ncols + u.  Freeness puts every pivot on a slice
-    column, so reducing f leaves minus its coefficients on the tags.
-    Returns (echelon, unknowns, col_of, rho_blocks, base_blocks), where
-    unknown u is the pair (r, canonical exponent of the orbit sum).
+    The block has m variables y = x_1..x_m, and the moving variable is
+    its last (last=True) or its first.  The power basis is y^r m_lam for
+    r < m and lam a partition of deg - r with at most m parts; it is a
+    free basis of the degree slice of the invariants of the block's
+    refinement {moving} + rest, so the system is square.  Columns are
+    the refined canonical exponents.  The entry of y^r m_lam at column e
+    is 1 exactly when e[pos] >= r and e - r at pos rearranges to lam, so
+    rows come from exponents alone.  Unknown u carries one tag entry 1
+    at column ncols + u; freeness puts every pivot on a slice column.
+    Returns (echelon, unknowns, col_of), unknown u being the pair (r, lam).
     """
-    ks = KeySituation(i, nu)
-    s = ks.side(side)
-    n = ks.n
-    rho_blocks = _blocks_of(ks.rho)
-    base_blocks = _blocks_of(s.base)
-    col_of = {e: j for j, e in enumerate(_canonical_exps(rho_blocks, n, deg))}
-    xk = Poly.var(n, ks.k)
+    pos = m - 1 if last else 0
+    cut = m - 1 if last else 1
+    blocks = tuple(b for b in ((0, cut), (cut, m)) if b[0] < b[1])
+    col_of = {e: j for j, e in enumerate(_canonical_exps(blocks, m, deg))}
+    unknowns = [
+        (r, lam)
+        for r in range(min(m - 1, deg) + 1)
+        for lam in _wd_tuples(m, deg - r)
+    ]
+    cols_of_unknown: dict = {u: [] for u in unknowns}
+    for e, j in col_of.items():
+        for r in range(min(m - 1, e[pos]) + 1):
+            moved = e[:pos] + (e[pos] - r,) + e[pos + 1 :]
+            cols_of_unknown[(r, tuple(sorted(moved, reverse=True)))].append(j)
     ech = _Echelon()
-    unknowns = []
-    for r in range(0, min(s.top, deg) + 1):
-        power = xk**r
-        for mexp in _canonical_exps(base_blocks, n, deg - r):
-            row = _coordinatize(
-                power * _orbit_poly(base_blocks, n, mexp), col_of, rho_blocks
-            )
-            row.append((len(col_of) + len(unknowns), 1))
-            unknowns.append((r, mexp))
-            ech.insert(row)
-    return ech, tuple(unknowns), col_of, rho_blocks, base_blocks
+    ncols = len(col_of)
+    for u, unknown in enumerate(unknowns):
+        row = [(j, 1) for j in sorted(cols_of_unknown[unknown])]
+        ech.insert(row + [(ncols + u, 1)])
+    return ech, tuple(unknowns), col_of
+
+
+@lru_cache(maxsize=None)
+def _power_coords(m: int, last: bool, e: tuple) -> tuple:
+    """The refined orbit sum of e over the block's power basis.
+
+    Pairs ((r, lam), c) with sum c y^r m_lam equal to that orbit sum.
+    The coefficients are integers: the power basis is a Z-basis, since
+    prod (t - x_j) over the block is monic.
+    """
+    ech, unknowns, col_of = _power_system(m, last, sum(e))
+    ncols = len(col_of)
+    red = ech.reduce([(col_of[e], 1)])
+    if red and red[0][0] < ncols:
+        raise NoSolutionError("no decomposition over the power basis exists")
+    return tuple((unknowns[col - ncols], _coef(-v)) for col, v in red)
 
 
 def decompose_over(ks: KeySituation, f, side: str) -> list:
@@ -205,9 +239,19 @@ def decompose_over(ks: KeySituation, f, side: str) -> list:
     Returns polynomials z_0..z_top in the side's invariant ring with
     f = sum z_r x_k^r (top is a on side "nu", b on side "nu_prime").
     Raises NoSolutionError when f is not invariant under the common
-    refinement of the two sides.
+    refinement rho of the two sides.
+
+    rho and the side's base composition differ only in the base block B
+    that holds x_k; B has m = top + 1 variables and x_k is its last on
+    side "nu" and its first on side "nu_prime".  So every rho orbit sum
+    is (orbit sum outside B) * (orbit sum of B's refinement {x_k} + rest),
+    and the base orbit sum of exponent (e_out, lam) is (orbit sum outside
+    B) * m_lam(B).  The decomposition is linear over the variables
+    outside B, so only the B factor of each rho-canonical term of f is
+    decomposed (``_power_coords``), and lam is spliced back into the
+    exponent.
     """
-    top = ks.side(side).top
+    s = ks.side(side)
     if isinstance(f, QuotientElement):
         f = f.rep
     if f.n != ks.n:
@@ -216,26 +260,29 @@ def decompose_over(ks: KeySituation, f, side: str) -> list:
         ensure_block_invariant(f, ks.rho)
     except NotInvariantError as exc:
         raise NoSolutionError(str(exc)) from exc
+    block = s.base.block_range(s.block)
+    start, stop = block.start - 1, block.stop - 1
+    last = ks.k == block[-1]
+    rho_blocks = _blocks_of(ks.rho)
+    coords = [dict() for _ in range(s.top + 1)]
+    for exp, c in f.terms.items():
+        if not _is_canonical(exp, rho_blocks):
+            continue
+        head, tail = exp[:start], exp[stop:]
+        for (r, lam), v in _power_coords(s.top + 1, last, exp[start:stop]):
+            key = head + lam + tail
+            coords[r][key] = coords[r].get(key, 0) + v * c
     n = ks.n
-    acc = [dict() for _ in range(top + 1)]
-    for deg, comp in f.homogeneous_components().items():
-        ech, unknowns, col_of, rho_blocks, bblocks = _decomp_system(
-            ks.nu, ks.i, side, deg
-        )
-        ncols = len(col_of)
-        red = ech.reduce(_coordinatize(comp, col_of, rho_blocks))
-        if red and red[0][0] < ncols:
-            raise NoSolutionError("no decomposition over the power basis exists")
-        for col, v in red:
-            r, mexp = unknowns[col - ncols]
-            orbit = _orbit_poly(bblocks, n, mexp)
-            for e, c in orbit.terms.items():
-                cur = acc[r].get(e, 0) - v * c
-                if cur:
-                    acc[r][e] = cur
-                else:
-                    acc[r].pop(e, None)
-    return [Poly(n, _coefs(terms), _clean=True) for terms in acc]
+    base_blocks = _blocks_of(s.base)
+    out = []
+    for acc in coords:
+        terms = {}
+        for mexp, v in acc.items():
+            if v:
+                for e in _orbit_poly(base_blocks, n, mexp).terms:
+                    terms[e] = v
+        out.append(Poly(n, _coefs(terms), _clean=True))
+    return out
 
 
 # ----------------------------------------------------------------------

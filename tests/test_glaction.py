@@ -6,7 +6,7 @@ from coinv.errors import NoSolutionError, WindowOverflowError
 from coinv.glaction import (
     KeySituation,
     WeightFamily,
-    _decomp_system,
+    _power_system,
     apply_D,
     apply_E_oracle,
     apply_E_poly,
@@ -32,7 +32,11 @@ from coinv.polynomials import (
     exact_divide,
     symmetrize,
 )
-from coinv.quotients import _standard_presentation, presentation
+from coinv.quotients import (
+    _standard_presentation,
+    is_block_invariant,
+    presentation,
+)
 from coinv.shapes import (
     Composition,
     coinvariant_top_degree,
@@ -51,11 +55,6 @@ def key_situations(n):
         for i in range(1, n):
             if nu[i] > 0:
                 yield KeySituation(i, nu)
-
-
-def graded_vectors(pres):
-    for d in range(0, (pres.top_degree or 0) + 1, 2):
-        yield from pres.graded_basis(d)
 
 
 # ----------------------------------------------------------------------
@@ -188,44 +187,53 @@ def test_decompose_matches_worked_example():
 
 
 def test_decompose_reconstructs_both_sides():
+    """f = sum z_r x_k^r with every z_r invariant for the side's base.
+
+    The power basis is free, so reconstruction plus invariance pins the
+    unique answer.
+    """
     rng = random.Random(7)
-    for n in (3, 4):
-        for ks in key_situations(n):
-            xk = Poly.var(n, ks.k)
-            rho_pres = presentation(ks.rho)
-            for z in graded_vectors(rho_pres):
-                f = z.rep * Q(rng.randint(1, 5))
-                for side, r_max in (("nu", ks.a), ("nu_prime", ks.b)):
-                    coeffs = decompose_over(ks, f, side)
-                    assert len(coeffs) == r_max + 1
-                    rebuilt = Poly.zero(n)
-                    for r, zr in enumerate(coeffs):
-                        rebuilt = rebuilt + zr * xk**r
-                    assert rebuilt == f
+    situations = [ks for n in (3, 4) for ks in key_situations(n)]
+    situations += rng.sample(list(key_situations(5)), 8)
+    for ks in situations:
+        n = ks.n
+        xk = Poly.var(n, ks.k)
+        for z in presentation(ks.rho).basis():
+            f = z.rep * Q(rng.randint(1, 5))
+            for side in ("nu", "nu_prime"):
+                base = ks.side(side).base
+                coeffs = decompose_over(ks, f, side)
+                assert len(coeffs) == ks.side(side).top + 1
+                rebuilt = Poly.zero(n)
+                for r, zr in enumerate(coeffs):
+                    assert is_block_invariant(zr, base), (ks, side, r)
+                    rebuilt = rebuilt + zr * xk**r
+                assert rebuilt == f, (ks, side)
 
 
 def test_power_basis_systems_are_free():
-    """Each decomposition slice is square and pivots only on slice columns.
+    """Each block-local decomposition slice is square and pivots only on
+    slice columns.
 
     decompose_over reads its coefficients off the tag columns of the
     reduced element, which is sound only when the power basis is a basis
     of the refined slice: one unknown per slice column, and no row left
-    with nothing but tag entries.
+    with nothing but tag entries.  Block sizes up to 6, with the moving
+    variable at either end, and degrees up to 12 include every slice that
+    the rho basis vectors of key situations with n <= 4 reach (at most 4
+    variables, degree at most 6).
     """
     checked = 0
-    for n in range(2, 5):
-        for ks in key_situations(n):
-            top = coinvariant_top_degree(ks.rho) // 2
-            for side in ("nu", "nu_prime"):
-                for deg in range(top + 1):
-                    ech, unknowns, col_of, _, _ = _decomp_system(
-                        ks.nu, ks.i, side, deg
-                    )
-                    where = (ks, side, deg)
-                    assert len(unknowns) == len(col_of), where
-                    assert all(c < len(col_of) for c in ech.pivots), where
-                    checked += 1
-    assert checked > 0
+    for m in range(1, 7):
+        for last in (True, False):
+            for deg in range(13):
+                ech, unknowns, col_of = _power_system(m, last, deg)
+                where = (m, last, deg)
+                assert len(unknowns) == len(col_of), where
+                assert ech.rank == len(col_of), where
+                assert all(c < len(col_of) for c in ech.pivots), where
+                checked += 1
+    assert checked == 6 * 2 * 13
 
 
 def test_decompose_rejects_non_invariant():
@@ -257,11 +265,11 @@ def test_routes_agree_everywhere_small():
         for ks in key_situations(n):
             src = presentation(ks.nu)
             dst = presentation(ks.nu_prime)
-            for z in graded_vectors(src):
+            for z in src.basis():
                 assert dst.normal_form(apply_F_poly(ks, z.rep)) == (
                     apply_F_oracle(ks, z)
                 )
-            for z in graded_vectors(dst):
+            for z in dst.basis():
                 assert src.normal_form(apply_E_poly(ks, z.rep)) == (
                     apply_E_oracle(ks, z)
                 )
@@ -275,13 +283,13 @@ def test_routes_agree_with_shape_cut():
             dst = presentation(ks.nu_prime, mu_c)
             if src.is_zero_algebra:
                 continue
-            for z in graded_vectors(src):
+            for z in src.basis():
                 assert dst.normal_form(apply_F_poly(ks, z.rep)) == (
                     apply_F_oracle(ks, z)
                 )
             if dst.is_zero_algebra:
                 continue
-            for z in graded_vectors(dst):
+            for z in dst.basis():
                 assert src.normal_form(apply_E_poly(ks, z.rep)) == (
                     apply_E_oracle(ks, z)
                 )
@@ -292,11 +300,11 @@ def test_degree_shift_is_block_size_difference():
         src = presentation(ks.nu)
         dst = presentation(ks.nu_prime)
         shift = 2 * (ks.a - ks.b)
-        for z in graded_vectors(src):
+        for z in src.basis():
             image = apply_F_oracle(ks, z)
             if not image.is_zero:
                 assert image.degree() == z.degree() + shift
-        for z in graded_vectors(dst):
+        for z in dst.basis():
             image = apply_E_oracle(ks, z)
             if not image.is_zero:
                 assert image.degree() == z.degree() - shift
@@ -316,7 +324,7 @@ def test_lowering_intertwines_shape_cut_reduction():
         plain = presentation(ks.nu)
         cut_src = presentation(ks.nu, mu)
         cut_dst = presentation(ks.nu_prime, mu)
-        for z in graded_vectors(plain):
+        for z in plain.basis():
             direct = cut_dst.normal_form(apply_F_poly(ks, z.rep))
             reduced_first = cut_dst.normal_form(
                 apply_F_poly(ks, cut_src.normal_form(z.rep).rep)

@@ -594,6 +594,17 @@ def test_plain_hilbert_series_is_q_multinomial():
         assert list(series.coeffs) == q_multinomial_t2(parts), parts
 
 
+def test_plain_series_on_window_is_q_multinomial():
+    """[n; nu] at q = t^2 for every composition on the window, zero parts included."""
+    checked = 0
+    for n in range(1, 6):
+        for nu in compositions_of(n, (1, 3)):
+            series = presentation(nu).hilbert()
+            assert list(series.coeffs) == q_multinomial_t2(nu.parts), nu
+            checked += 1
+    assert checked == 55
+
+
 def test_staircase_normal_form():
     for n in range(1, 6):
         assert list(_r_dims(n)) == q_factorial(n)
