@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 from math import comb, factorial
 
 from .errors import (
@@ -607,7 +608,9 @@ def cmd_verify(args) -> int:
 # wiring
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built on first use and shared by every ``main`` call."""
     parser = argparse.ArgumentParser(
         prog="coinv",
         description="Exact graded-quotient and trace-map computations.",
@@ -629,47 +632,44 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu", required=True, help="composition, e.g. 1,2,1 or 2@0")
     p.add_argument("--mu", required=True, help="shape composition or 'regular'")
     common(p)
-    p.set_defaults(func=cmd_present)
 
     p = sub.add_parser("dim", help="dimension with tableau cross-check")
     p.add_argument("--nu", required=True)
     p.add_argument("--mu")
     common(p)
-    p.set_defaults(func=cmd_dim)
 
     p = sub.add_parser("hilbert", help="graded dimension series")
     p.add_argument("--nu", required=True)
     p.add_argument("--mu")
     common(p)
-    p.set_defaults(func=cmd_hilbert)
 
     p = sub.add_parser("basis", help="canonical graded basis")
     p.add_argument("--nu", required=True)
     p.add_argument("--mu")
     p.add_argument("--degree", type=int, help="single (doubled) degree")
     common(p)
-    p.set_defaults(func=cmd_basis)
 
     p = sub.add_parser("act", help="apply an operator word to a weight family")
     p.add_argument("--op", required=True, help="word like 'F_2 F_1 E_2'")
     p.add_argument("--nu", required=True, help="starting weight")
     p.add_argument("--mu")
     p.add_argument("--window", help="LO,HI index window")
-    p.add_argument("--elem", help="starting element as term-list JSON")
+    p.add_argument(
+        "--elem",
+        help='starting element as JSON: a list of {"exp": [...], "num": "...", '
+        '"den": "..."} terms with integer exponents and coefficients',
+    )
     common(p)
-    p.set_defaults(func=cmd_act)
 
     p = sub.add_parser("kostka", help="semistandard tableau count")
     p.add_argument("--lam", required=True, help="partition, e.g. 2,1")
     p.add_argument("--nu", required=True, help="content composition")
     common(p, form=False)
-    p.set_defaults(func=cmd_kostka)
 
     p = sub.add_parser("kf", help="charge generating polynomial")
     p.add_argument("--tau", required=True, help="partition")
     p.add_argument("--mu", required=True, help="content composition")
     common(p, form=False)
-    p.set_defaults(func=cmd_kf)
 
     p = sub.add_parser("tableaux", help="enumerate fillings")
     p.add_argument("--lam", required=True)
@@ -679,7 +679,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="column-strict",
     )
     common(p, form=False)
-    p.set_defaults(func=cmd_tableaux)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=SUITES, required=True)
@@ -687,16 +686,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", help="LO,HI (default 1,n)")
     p.add_argument("--r-max", type=int, dest="r_max")
     common(p)
-    p.set_defaults(func=cmd_verify)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up by name on each call, so the shared parser holds no
+        # command function and a replaced ``cmd_*`` is the one that runs
+        return globals()["cmd_" + args.subcommand](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

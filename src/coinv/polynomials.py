@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -319,12 +320,25 @@ class Poly:
 
     @classmethod
     def from_json(cls, n: int, data: Iterable[dict]) -> "Poly":
+        """Inverse of ``to_json``.  Every number must be an integer, as a
+        JSON integer or a base-10 string; anything else is a ``ValueError``
+        rather than being truncated."""
         terms = {}
         for item in data:
-            exp = tuple(int(x) for x in item["exp"])
-            c = Q(int(item["num"]), int(item["den"]))
+            if not isinstance(item["exp"], (list, tuple)):
+                raise ValueError(f"exponent must be a list, got {item['exp']!r}")
+            exp = tuple(_json_int(x) for x in item["exp"])
+            c = Q(_json_int(item["num"]), _json_int(item["den"]))
             terms[exp] = terms.get(exp, 0) + c
         return cls(n, terms)
+
+
+def _json_int(value) -> int:
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value):
+        return int(value)
+    raise ValueError(f"expected an integer, got {value!r}")
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,14 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import coinv
 from coinv import cli, errors
 from coinv.cli import (
     InputError,
@@ -204,6 +210,27 @@ def test_act_zero_denominator_is_input_error(capsys):
     assert "zero denominator" in err
 
 
+@pytest.mark.parametrize(
+    "term",
+    [
+        {"exp": [0, 0], "num": 2.7, "den": 1},
+        {"exp": [0, 0], "num": "1.5", "den": "1"},
+        {"exp": [0, 0], "num": "2", "den": True},
+        {"exp": [1.9, 0], "num": "1", "den": "1"},
+        {"exp": [True, 0], "num": "1", "den": "1"},
+        {"exp": ["1.5", 0], "num": "1", "den": "1"},
+    ],
+)
+def test_act_non_integer_element_is_input_error(capsys, term):
+    elem = json.dumps([term])
+    code, out, err = run(
+        capsys, ["act", "--op", "D_1", "--nu", "2@1", "--elem", elem]
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: bad element JSON:")
+
+
 def test_act_word_moves_weight(capsys):
     code, out, _ = run(
         capsys, ["act", "--op", "F_2 F_1", "--nu", "2@1", "--window", "1,3"]
@@ -343,3 +370,59 @@ def test_error_classes_map_to_exit_codes(capsys, monkeypatch, exc, code, prefix)
     got, _, err = run(capsys, ["dim", "--nu", "1,1"])
     assert got == code
     assert err.startswith(prefix)
+
+
+# ----------------------------------------------------------------------
+# one parser per process
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_repeated_calls_match_fresh_processes(capsys):
+    calls = [
+        ["dim", "--nu", "1,2,1", "--mu", "2,1,1", "--form", "h", "--output", "json"],
+        ["dim", "--nu", "1,2,1"],
+        ["kf", "--tau", "2,1", "--mu", "1,1,1"],
+        ["hilbert", "--nu", "1,2,1", "--mu", "regular"],
+    ]
+    in_process = [run(capsys, argv)[:2] for argv in calls]
+    src = str(Path(coinv.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for argv, (code, out) in zip(calls, in_process):
+        fresh = subprocess.run(
+            [sys.executable, "-m", "coinv.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (code, out) == (fresh.returncode, fresh.stdout), argv
+
+
+def test_valid_call_after_argparse_error(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["dim"])
+    assert info.value.code == 2
+    code, out, _ = run(capsys, ["dim", "--nu", "1,1"])
+    assert code == 0
+    assert out.splitlines()[0] == "dim = 2"
+
+
+def test_second_call_constructs_no_parser(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    try:
+        assert run(capsys, ["dim", "--nu", "1,1"])[0] == 0
+        assert built
+        del built[:]
+        assert run(capsys, ["kostka", "--lam", "2,1", "--nu", "1,1,1"])[0] == 0
+        assert built == []
+    finally:
+        cli.build_parser.cache_clear()

@@ -115,6 +115,25 @@ class TestJson:
             f = random_poly(rng, n)
             assert Poly.from_json(n, f.to_json()) == f
 
+    def test_accepts_json_integers_and_integer_strings(self):
+        data = [{"exp": [2, 0], "num": -3, "den": "4"}, {"exp": [0, 1], "num": "5", "den": 1}]
+        assert Poly.from_json(2, data) == x(2, 1) ** 2 * Q(-3, 4) + x(2, 2) * 5
+
+    @pytest.mark.parametrize("bad", [2.7, 2.0, True, False, "1.5", "2e1", " 1", None])
+    @pytest.mark.parametrize("field", ["exp", "num", "den"])
+    def test_rejects_non_integers(self, field, bad):
+        item = {"exp": [1, 0], "num": "1", "den": "1"}
+        if field == "exp":
+            item["exp"] = [bad, 0]
+        else:
+            item[field] = bad
+        with pytest.raises(ValueError):
+            Poly.from_json(2, [item])
+
+    def test_rejects_exponent_string(self):
+        with pytest.raises(ValueError):
+            Poly.from_json(2, [{"exp": "10", "num": "1", "den": "1"}])
+
 
 class TestPermutation:
     def test_examples(self):
