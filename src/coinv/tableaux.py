@@ -5,13 +5,32 @@ bottom, entries weakly increase along rows (when the row condition is in
 force) and strictly increase down columns.  Sources that grow columns in
 the opposite direction describe the same objects with each column
 flipped; all counts here are orientation-independent.
+
+Two memos, both ``functools.lru_cache``, share work across requests in
+one process:
+
+- ``_horizontal_extensions(shape, size, target)``: the shapes reached by
+  adding a horizontal strip.  ``kostka``, ``enumerate_semistandard`` and
+  ``kostka_foulkes`` grow their fillings one strip per letter through
+  it, with every shape zero-padded to the length of the target, so
+  requests for the same target shape share entries.
+- ``_column_strict_completions(cols, counts)``: the number of ways to
+  fill the remaining columns.  A column-strict filling is one set of
+  distinct letters per column, and no condition links the letters of
+  different columns.  Renaming letters maps such fillings one to one
+  onto fillings with the counts permuted alike, so the number of
+  completions depends only on the multiset of remaining letter counts;
+  the state keeps them sorted in decreasing order with zeros dropped.
+  ``kostka`` does not sort its content: the row condition ties a letter
+  to the ones before it, and that its count is still symmetric in the
+  content is a theorem the tests check.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .shapes import Composition, Partition, sort_to_partition
 
@@ -135,18 +154,6 @@ class Tableau:
             counts[v - lo] += 1
         return Composition(lo, counts)
 
-    def is_column_strict(self) -> bool:
-        for r in range(1, len(self.rows)):
-            for c in range(len(self.rows[r])):
-                if self.rows[r][c] <= self.rows[r - 1][c]:
-                    return False
-        return True
-
-    def is_row_weak(self) -> bool:
-        return all(
-            row[c] <= row[c + 1] for row in self.rows for c in range(len(row) - 1)
-        )
-
     def row_word(self) -> tuple:
         """Reading word: rows from last to first, each left to right."""
         out = []
@@ -173,43 +180,46 @@ class Tableau:
 # column-strict fillings via one strict column per column of the shape
 
 
-def _column_lengths(lam: Partition) -> list:
-    return list(lam.transpose().parts)
-
-
-def _support_and_counts(nu: Composition) -> tuple:
-    support = [i for i in nu.indices() if nu[i] > 0]
-    return support, tuple(nu[i] for i in support)
+def _column_lengths(lam: Partition) -> tuple:
+    return lam.transpose().parts
 
 
 def count_column_strict(lam: Partition, nu: Composition) -> int:
     """Fillings of the shape with content ``nu``, strict down columns only.
 
-    Counted column by column: each column of the shape independently
-    carries a strictly increasing filling, i.e. a subset of the alphabet,
-    and the subsets must jointly use entry i exactly ``nu[i]`` times.
+    Counted column by column: each column of the shape carries a set of
+    distinct letters, and the sets must jointly use entry i exactly
+    ``nu[i]`` times.  The count depends only on the multiset of the
+    letter counts (see the module docstring).
     """
     if lam.n != nu.n:
         return 0
-    cols = _column_lengths(lam)
-    support, counts = _support_and_counts(nu)
+    counts = sorted((nu[i] for i in nu.indices() if nu[i] > 0), reverse=True)
+    return _column_strict_completions(_column_lengths(lam), tuple(counts))
+
+
+@lru_cache(maxsize=None)
+def _column_strict_completions(cols: tuple, counts: tuple) -> int:
+    """Ways to fill columns of lengths ``cols`` with sets of distinct letters.
+
+    ``counts`` holds how often each letter is still to be used, in
+    decreasing order with zeros dropped; the first column takes one of
+    each of ``cols[0]`` letters.
+    """
     if not cols:
-        return 1 if nu.n == 0 else 0
-    states = {counts: 1}
-    for length in cols:
-        new: dict = {}
-        for state, ways in states.items():
-            avail = [j for j, c in enumerate(state) if c > 0]
-            for combo in itertools.combinations(avail, length):
-                nxt = list(state)
-                for j in combo:
-                    nxt[j] -= 1
-                key = tuple(nxt)
-                new[key] = new.get(key, 0) + ways
-        states = new
-        if not states:
-            return 0
-    return states.get((0,) * len(support), 0)
+        return 0 if counts else 1
+    if counts[0] > len(cols):
+        return 0  # a letter appears at most once in each column
+    length, rest = cols[0], cols[1:]
+    total = 0
+    for combo in itertools.combinations(range(len(counts)), length):
+        left = list(counts)
+        for j in combo:
+            left[j] -= 1
+        total += _column_strict_completions(
+            rest, tuple(sorted((c for c in left if c), reverse=True))
+        )
+    return total
 
 
 def enumerate_column_strict(lam: Partition, nu: Composition) -> list:
@@ -220,7 +230,8 @@ def enumerate_column_strict(lam: Partition, nu: Composition) -> list:
     if lam.n != nu.n:
         return []
     cols = _column_lengths(lam)
-    support, counts = _support_and_counts(nu)
+    support = [i for i in nu.indices() if nu[i] > 0]
+    counts = [nu[i] for i in support]
     if not cols:
         return [Tableau([])] if nu.n == 0 else []
 
@@ -248,7 +259,7 @@ def enumerate_column_strict(lam: Partition, nu: Composition) -> list:
             for j in combo:
                 remaining[j] += 1
 
-    fill(0, list(counts), [])
+    fill(0, counts, [])
     results.sort(key=lambda t: tuple(v for row in t.rows for v in row))
     return results
 
@@ -257,65 +268,60 @@ def enumerate_column_strict(lam: Partition, nu: Composition) -> list:
 # semistandard tableaux and Kostka numbers by horizontal-strip growth
 
 
-def _horizontal_extensions(shape: tuple, size: int, bound: tuple) -> Iterator[tuple]:
-    """Shapes obtained by adding a horizontal strip of the given size.
+@lru_cache(maxsize=None)
+def _horizontal_extensions(shape: tuple, size: int, bound: tuple) -> tuple:
+    """Shapes obtained by adding a horizontal strip of ``size`` boxes.
 
-    ``bound`` caps the result componentwise (the target shape).
+    ``bound`` is the target shape and caps the result row by row; both
+    ``shape`` and the results are zero-padded to its length, so equal
+    shapes share one memo entry.
     """
-    rows = len(bound)
+    out = []
 
-    def grow(row: int, left: int, acc: tuple) -> Iterator[tuple]:
-        if row == rows:
+    def grow(row: int, left: int, acc: tuple):
+        if row == len(bound):
             if left == 0:
-                yield acc
+                out.append(acc)
             return
-        cur = shape[row] if row < len(shape) else 0
+        cur = shape[row]
         hi = bound[row]
         if row > 0:
-            hi = min(hi, acc[row - 1])
-        # no two added boxes in a column: new row stops at old previous row
-        if row > 0:
-            prev_old = shape[row - 1] if row - 1 < len(shape) else 0
-            hi = min(hi, prev_old)
-        if cur > hi:
-            return
+            # no two added boxes in a column: the row stops at the old row above
+            hi = min(hi, shape[row - 1])
         for new in range(cur, min(hi, cur + left) + 1):
-            yield from grow(row + 1, left - (new - cur), acc + (new,))
+            grow(row + 1, left - (new - cur), acc + (new,))
 
-    yield from grow(0, size, ())
+    grow(0, size, ())
+    return tuple(out)
 
 
 def kostka(lam: Partition, nu: Composition) -> int:
     """Semistandard fillings of the shape with content ``nu``.
 
-    Grown entry by entry: the boxes holding the i-th smallest entry form
-    a horizontal strip.
+    Grown entry by entry, in the order of the content: the boxes holding
+    the i-th smallest entry form a horizontal strip.
     """
     if lam.n != nu.n:
         return 0
     target = lam.parts
-    states = {(): 1}
+    states = {(0,) * len(target): 1}
     for i in [j for j in nu.indices() if nu[j] > 0]:
-        size = nu[i]
         new: dict = {}
         for shape, ways in states.items():
-            for ext in _horizontal_extensions(shape, size, target):
-                trimmed = tuple(p for p in ext if p)
-                new[trimmed] = new.get(trimmed, 0) + ways
+            for ext in _horizontal_extensions(shape, nu[i], target):
+                new[ext] = new.get(ext, 0) + ways
         states = new
         if not states:
             return 0
     return states.get(target, 0)
 
 
-def enumerate_semistandard(lam: Partition, nu: Composition) -> list:
-    """All semistandard fillings of the shape with content ``nu``.
+def _semistandard_rows(lam: Partition, nu: Composition) -> list:
+    """Row lists of the semistandard fillings, unsorted.
 
     Grown one letter at a time, like ``kostka``: the boxes holding the
     i-th smallest entry form a horizontal strip of size ``nu[i]``, and
-    each strip appends that entry to the rows it extends.  Returned
-    sorted lexicographically by row-major entry sequence, the order of
-    ``enumerate_column_strict``.
+    each strip appends that entry to the rows it extends.
     """
     if lam.n != nu.n:
         return []
@@ -325,7 +331,7 @@ def enumerate_semistandard(lam: Partition, nu: Composition) -> list:
 
     def grow(k: int, shape: tuple, rows: list):
         if k == len(letters):
-            results.append(Tableau(rows))
+            results.append(rows)
             return
         i = letters[k]
         for ext in _horizontal_extensions(shape, nu[i], target):
@@ -336,6 +342,16 @@ def enumerate_semistandard(lam: Partition, nu: Composition) -> list:
             )
 
     grow(0, (0,) * len(target), [[] for _ in target])
+    return results
+
+
+def enumerate_semistandard(lam: Partition, nu: Composition) -> list:
+    """All semistandard fillings of the shape with content ``nu``.
+
+    Returned sorted lexicographically by row-major entry sequence, the
+    order of ``enumerate_column_strict``.
+    """
+    results = [Tableau(rows) for rows in _semistandard_rows(lam, nu)]
     results.sort(key=lambda t: tuple(v for row in t.rows for v in row))
     return results
 
@@ -344,64 +360,59 @@ def enumerate_semistandard(lam: Partition, nu: Composition) -> list:
 # charge
 
 
-def _standard_charge(word: Sequence[int]) -> int:
-    """Charge of a word using each of 1..m exactly once."""
-    pos = {v: i for i, v in enumerate(word)}
-    index = 0
+def _word_charge(word: list) -> int:
+    """Charge of a word whose content is a partition on 1..m; consumes ``word``.
+
+    Standard subwords are taken out one at a time: the rightmost 1, then
+    the nearest 2 to its left, wrapping round to the right end when there
+    is none, and so on up to the largest letter left.  The index of a
+    letter is the number of wraps so far, and the charge is the sum of
+    all indices.  Partition content guarantees every letter up to the
+    largest is present in each round.
+    """
     total = 0
-    for v in range(2, len(word) + 1):
-        if pos[v] > pos[v - 1]:
-            index += 1
-        total += index
+    while word:
+        pos = len(word)
+        index = 0
+        for v in range(1, max(word) + 1):
+            i = pos - 1
+            while i >= 0 and word[i] != v:
+                i -= 1
+            if i < 0:
+                index += 1
+                i = len(word) - 1
+                while word[i] != v:
+                    i -= 1
+            total += index
+            word[i] = 0
+            pos = i
+        word = [w for w in word if w]
     return total
 
 
 def charge(t: Tableau) -> int:
     """Charge statistic of the reading word; needs partition content."""
-    word = list(t.row_word())
     content = t.content()
     if content.parts and (
         content.lo != 1
         or any(content.parts[j] < content.parts[j + 1] for j in range(len(content.parts) - 1))
     ):
         raise ValueError("charge needs content forming a partition on 1..m")
-    total = 0
-    while word:
-        m = max(word)
-        # extract one standard subword scanning right to left, cyclically
-        picked = {}
-        start = len(word) - 1
-        for v in range(1, m + 1):
-            i = start
-            found = None
-            for _ in range(len(word)):
-                if word[i] == v and i not in picked:
-                    found = i
-                    break
-                i = (i - 1) % len(word)
-            if found is None:
-                raise ValueError("content is not a partition")
-            picked[found] = v
-            start = (found - 1) % len(word)
-        sub = [word[i] for i in sorted(picked)]
-        total += _standard_charge(sub)
-        word = [w for i, w in enumerate(word) if i not in picked]
-    return total
+    return _word_charge(list(t.row_word()))
 
 
 def kostka_foulkes(tau: Partition, mu: Composition) -> IntPoly:
     """Graded Kostka refinement: sum of t^charge over semistandard fillings.
 
     The content composition is sorted first; the polynomial only depends
-    on the sorted content.  The fillings come from
-    ``enumerate_semistandard``, grown by one horizontal strip per letter;
-    their order does not affect the sum.
+    on the sorted content.  The charge is taken of the reading word of
+    each filling's rows as strip growth builds them; their order does not
+    affect the sum.
     """
-    mu_sorted = sort_to_partition(mu)
-    content = Composition(1, mu_sorted.parts)
+    content = Composition(1, sort_to_partition(mu).parts)
     coeffs: dict = {}
-    for t in enumerate_semistandard(tau, content):
-        c = charge(t)
+    for rows in _semistandard_rows(tau, content):
+        c = _word_charge([v for row in reversed(rows) for v in row])
         coeffs[c] = coeffs.get(c, 0) + 1
     if not coeffs:
         return IntPoly()
