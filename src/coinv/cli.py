@@ -326,7 +326,11 @@ def cmd_act(args) -> int:
             raise InputError(f"bad element JSON: {exc}")
         except ZeroDivisionError:
             raise InputError("bad element JSON: zero denominator")
-    family = WeightFamily.unit(nu, window, mu, elem)
+    try:
+        family = WeightFamily.unit(nu, window, mu, elem)
+    except WindowOverflowError as exc:
+        # exit 4 is for operator images; a start outside is bad input
+        raise InputError(f"starting {exc}")
     result = apply_operator_family(args.op, family)
     lines = []
     if result.is_zero:
@@ -550,6 +554,8 @@ def cmd_verify(args) -> int:
             f"n={n}; verify accepts at most {VERIFY_COMPOSITION_LIMIT}"
         )
     r_max = args.r_max if args.r_max is not None else 2 * n
+    if not 1 <= r_max <= 2 * n:
+        raise InputError(f"--r-max must be between 1 and 2n = {2 * n}, got {r_max}")
 
     builders = {
         "identities": lambda: _suite_identities(n, r_max),
@@ -684,7 +690,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=SUITES, required=True)
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--window", help="LO,HI (default 1,n)")
-    p.add_argument("--r-max", type=int, dest="r_max")
+    p.add_argument("--r-max", type=int, dest="r_max", help="1..2n (default 2n)")
     common(p)
 
     return parser

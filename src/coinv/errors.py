@@ -5,16 +5,8 @@ class CoinvError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class NotDivisibleError(CoinvError):
-    """Exact polynomial division left a non-zero remainder."""
-
-
 class NotInvariantError(CoinvError):
     """A polynomial expected to be block-symmetric is not."""
-
-
-class NotAntiInvariantError(CoinvError):
-    """A polynomial expected to be block-anti-symmetric is not."""
 
 
 class NonTerminatingError(CoinvError):

@@ -157,7 +157,8 @@ def apply_F_poly(ks: KeySituation, f: Poly) -> Poly:
     The orbit-sum formula (signed sum over S_nu' of eps_pair * f_kernel * f,
     over eps_nu(nu')) is d_w0 of S_nu'.  Write w0 = u * w0(S_rho), lengths
     adding: d_w0(S_rho) strips eps_pair off the S_rho-symmetric f_kernel * f,
-    and d_u is the chain above.
+    and d_u is the chain above.  The tests check the chain against that
+    formula, which ``tests/reference.py`` states.
     """
     g = ks.f_kernel() * f
     for j in range(ks.k, ks.k + ks.b):
@@ -428,20 +429,23 @@ class WeightFamily:
         self.mu = None if mu is None else canonical_shape(mu)
         comps = {}
         for nu, z in (components or {}).items():
+            # checked before zeros are dropped: a weight outside is an
+            # error whatever its element
+            if not self._in_window(nu):
+                lo, hi = self.window
+                raise WindowOverflowError(
+                    f"weight {nu!r} leaves the window [{lo}, {hi}]"
+                )
             if z.is_zero:
                 continue
-            self._check_window(nu)
             if nu.n != n:
                 raise ValueError("component weight has wrong size")
             comps[nu] = z
         self.components = comps
 
-    def _check_window(self, nu: Composition) -> None:
+    def _in_window(self, nu: Composition) -> bool:
         lo, hi = self.window
-        if nu.parts and not (lo <= nu.lo and nu.hi <= hi):
-            raise WindowOverflowError(
-                f"weight {nu!r} leaves the window [{lo}, {hi}]"
-            )
+        return not nu.parts or lo <= nu.lo and nu.hi <= hi
 
     @classmethod
     def unit(cls, nu: Composition, window: tuple, mu=None, elem=None):
@@ -497,10 +501,8 @@ class WeightFamily:
             target_nu, image = res
             if image.is_zero:
                 continue
-            lo, hi = self.window
-            if target_nu.parts and not (
-                lo <= target_nu.lo and target_nu.hi <= hi
-            ):
+            if not self._in_window(target_nu):
+                lo, hi = self.window
                 raise WindowOverflowError(
                     f"{op}_{i} sends weight {nu!r} outside [{lo}, {hi}]"
                 )

@@ -21,12 +21,10 @@ degree).
 from __future__ import annotations
 
 import itertools
-import math
 import re
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .errors import NotDivisibleError
 from .reporting import Report
 from .shapes import Composition
 
@@ -148,13 +146,6 @@ class Poly:
             out.setdefault(sum(e), {})[e] = c
         return {d: Poly(self.n, t, _clean=True) for d, t in sorted(out.items())}
 
-    def leading(self) -> tuple:
-        """(exponent, coefficient) of the largest term in the term order."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        e = max(self.terms, key=grlex_key)
-        return e, self.terms[e]
-
     def coefficient(self, exp: Sequence[int]):
         return self.terms.get(tuple(exp), 0)
 
@@ -259,24 +250,6 @@ class Poly:
         return hash((self.n, frozenset(self.terms.items())))
 
     # ------------------------------------------------------------------
-    # symmetric group action
-
-    def apply_permutation(self, w: Sequence[int]) -> "Poly":
-        """Substitute x_j -> x_{w(j)} where ``w[j-1]`` is the image of j."""
-        if len(w) != self.n or sorted(w) != list(range(1, self.n + 1)):
-            raise ValueError(f"not a permutation of 1..{self.n}: {w}")
-        out: dict = {}
-        for e, c in self.terms.items():
-            ne = [0] * self.n
-            for j, x in enumerate(e):
-                if x:
-                    ne[w[j] - 1] = x
-            e2 = tuple(ne)
-            s = out.get(e2)
-            out[e2] = c if s is None else s + c
-        return Poly(self.n, {e: c for e, c in out.items() if c != 0}, _clean=True)
-
-    # ------------------------------------------------------------------
     # presentation
 
     def __repr__(self) -> str:
@@ -342,101 +315,7 @@ def _json_int(value) -> int:
 
 
 # ----------------------------------------------------------------------
-# the symmetric group of a composition
-
-
-@lru_cache(maxsize=None)
-def _perms_with_signs(size: int) -> tuple:
-    """All permutations of range(size) with signs."""
-    out = []
-    for p in itertools.permutations(range(size)):
-        inv = sum(
-            1
-            for a in range(size)
-            for b in range(a + 1, size)
-            if p[a] > p[b]
-        )
-        out.append((p, -1 if inv % 2 else 1))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _group_of_blocks(blocks: tuple, n: int) -> tuple:
-    """Elements of the product of symmetric groups on the given blocks.
-
-    Returns (w, sign) pairs where w is the full permutation of 1..n as a
-    tuple with w[j-1] = image of j.
-    """
-    identity = list(range(1, n + 1))
-    group = [(tuple(identity), 1)]
-    for block in blocks:
-        new = []
-        for p, s in _perms_with_signs(len(block)):
-            for w, sw in group:
-                w2 = list(w)
-                for pos, j in enumerate(block):
-                    w2[j - 1] = w[block[p[pos]] - 1]
-                new.append((tuple(w2), s * sw))
-        group = new
-    return tuple(group)
-
-
-def block_group(nu: Composition, n: int | None = None) -> tuple:
-    """The Young subgroup fixing the blocks of ``nu``, with signs."""
-    if n is None:
-        n = nu.n
-    blocks = tuple(
-        tuple(nu.block_range(i)) for i in nu.indices() if nu[i] > 1
-    )
-    return _group_of_blocks(blocks, n)
-
-
-def symmetrize(f: Poly, nu: Composition) -> Poly:
-    """Average of the orbit of ``f`` under the block subgroup of ``nu``."""
-    group = block_group(nu, f.n)
-    if len(group) == 1:
-        return f
-    total = Poly.zero(f.n)
-    for w, _ in group:
-        total = total + f.apply_permutation(w)
-    return total / len(group)
-
-
-def antisymmetrize(f: Poly, nu: Composition) -> Poly:
-    """Signed average of the orbit of ``f`` under the block subgroup of ``nu``."""
-    group = block_group(nu, f.n)
-    if len(group) == 1:
-        return f
-    total = Poly.zero(f.n)
-    for w, s in group:
-        g = f.apply_permutation(w)
-        total = total + (g if s == 1 else -g)
-    return total / len(group)
-
-
-# ----------------------------------------------------------------------
-# division and divided differences
-
-
-def exact_divide(f: Poly, g: Poly) -> Poly:
-    """Quotient f/g when g divides f exactly; NotDivisibleError otherwise."""
-    if g.is_zero:
-        raise ZeroDivisionError("division by zero polynomial")
-    if f.n != g.n:
-        raise ValueError("mixed variable counts")
-    n = f.n
-    ge, gc = g.leading()
-    quotient: dict = {}
-    rem = f
-    while not rem.is_zero:
-        re, rc = rem.leading()
-        qe = tuple(a - b for a, b in zip(re, ge))
-        if any(x < 0 for x in qe):
-            raise NotDivisibleError(f"leading term x^{re} not divisible by x^{ge}")
-        qc = _coef(Q(rc) / gc)
-        quotient[qe] = qc
-        rem = rem - Poly.monomial(n, qe, qc) * g
-    return Poly(n, quotient)
+# divided differences
 
 
 def divided_difference(f: Poly, j: int) -> Poly:
@@ -545,59 +424,6 @@ def e_block(nu: Composition, indices: Iterable[int], r: int) -> Poly:
 def h_block(nu: Composition, indices: Iterable[int], r: int) -> Poly:
     """Complete symmetric polynomial on a union of blocks of ``nu``."""
     return h_sym(nu.n, _block_union(nu, indices), r)
-
-
-# ----------------------------------------------------------------------
-# normalized difference products
-
-
-def _pair_product(n: int, pairs: Iterable[tuple]) -> Poly:
-    out = Poly.one(n)
-    for i, j in pairs:
-        out = out * (Poly.var(n, i) - Poly.var(n, j))
-    return out
-
-
-def eps_full(n: int) -> Poly:
-    """(1/n!) times the product of all differences x_i - x_j, i < j."""
-    prod = _pair_product(n, ((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)))
-    return prod / math.factorial(n)
-
-
-def eps_nu(nu: Composition) -> Poly:
-    """Difference product over pairs inside a common block, divided by |S_nu|."""
-    n = nu.n
-    order = 1
-    prod = Poly.one(n)
-    for i in nu.indices():
-        block = list(nu.block_range(i))
-        order *= math.factorial(len(block))
-        prod = prod * _pair_product(
-            n, ((a, b) for ai, a in enumerate(block) for b in block[ai + 1:])
-        )
-    return prod / order
-
-
-def move_index(nu: Composition, nu_prime: Composition) -> int:
-    """The index i with nu_prime == nu.lower_at(i); error when there is none."""
-    if nu.n != nu_prime.n:
-        raise ValueError("totals differ")
-    lo = min(nu.lo, nu_prime.lo)
-    hi = max(nu.hi, nu_prime.hi)
-    for i in range(lo - 1, hi + 1):
-        if nu[i] > 0 and nu.lower_at(i) == nu_prime:
-            return i
-    raise ValueError(f"{nu_prime!r} is not obtained from {nu!r} by one move")
-
-
-def eps_pair(nu: Composition, nu_prime: Composition) -> Poly:
-    """Difference product for the common stabilizer of a one-move pair.
-
-    The stabilizer of both block structures is the block group of the
-    common refinement splitting off the moved variable as a singleton.
-    """
-    i = move_index(nu, nu_prime)
-    return eps_nu(nu.refine_at(i))
 
 
 # ----------------------------------------------------------------------

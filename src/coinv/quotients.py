@@ -32,21 +32,13 @@ import math
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .errors import (
-    NonTerminatingError,
-    NotAntiInvariantError,
-    NotInvariantError,
-)
+from .errors import NonTerminatingError, NotInvariantError
 from .polynomials import (
     Poly,
-    Q,
     QONE,
     _coef,
     _coefs,
-    antisymmetrize,
     e_sym,
-    eps_nu,
-    exact_divide,
     grlex_key,
     h_sym,
 )
@@ -945,15 +937,6 @@ def ideals_equal(gens_a: Sequence[Poly], gens_b: Sequence[Poly], nu: Composition
     return all(pres_b.contains(g) for g in gens_a) and all(
         pres_a.contains(g) for g in gens_b
     )
-
-
-def antiinv_divide(g: Poly, nu: Composition) -> Poly:
-    """Divide a block-anti-invariant polynomial by the block difference product."""
-    if antisymmetrize(g, nu) != g:
-        raise NotAntiInvariantError(
-            f"polynomial is not anti-invariant for blocks of {nu!r}"
-        )
-    return exact_divide(g, eps_nu(nu))
 
 
 # ----------------------------------------------------------------------

@@ -188,6 +188,15 @@ def test_act_window_overflow_exit_code(capsys):
     assert "window" in err
 
 
+@pytest.mark.parametrize("elem", [[], ["--elem", "[]"]])
+def test_act_start_outside_window_is_input_error(capsys, elem):
+    # exit 4 is for an operator image leaving the window, not for the start
+    argv = ["act", "--op", "F_1", "--nu", "2@5", "--window", "1,3"]
+    code, _, err = run(capsys, argv + elem)
+    assert code == 2
+    assert err.startswith("error: starting weight") and "window [1, 3]" in err
+
+
 def test_act_bad_inputs(capsys):
     code, _, _ = run(capsys, ["act", "--op", "G_1", "--nu", "2@1"])
     assert code == 2
@@ -322,6 +331,15 @@ def test_verify_rejects_oversized_n(capsys):
     code, _, err = run(capsys, ["verify", "--suite", "identities", "--n", "6"])
     assert code == 2
     assert "COINV_NMAX" in err
+
+
+@pytest.mark.parametrize("r_max, code", [("0", 2), ("5", 2), ("4", 0)])
+def test_verify_r_max_lies_in_one_to_2n(capsys, r_max, code):
+    argv = ["verify", "--suite", "identities", "--n", "2", "--r-max", r_max]
+    got, out, err = run(capsys, argv)
+    assert got == code
+    assert ("--r-max must be between 1 and 2n = 4" in err) == (code == 2)
+    assert ("r_max=4" in out) == (code == 0)
 
 
 def test_verify_rejects_oversized_window(capsys):

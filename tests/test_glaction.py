@@ -22,16 +22,7 @@ from coinv.glaction import (
     relation_report,
     weight_dim_report,
 )
-from coinv.polynomials import (
-    Poly,
-    Q,
-    antisymmetrize,
-    e_block,
-    eps_nu,
-    eps_pair,
-    exact_divide,
-    symmetrize,
-)
+from coinv.polynomials import Poly, Q, e_block
 from coinv.quotients import (
     _standard_presentation,
     is_block_invariant,
@@ -43,6 +34,14 @@ from coinv.shapes import (
     compositions_of,
     partitions_of,
     transpose,
+)
+
+from reference import (
+    antisymmetrize,
+    eps_nu,
+    eps_pair,
+    exact_divide,
+    symmetrize,
 )
 
 

@@ -5,26 +5,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coinv.errors import NotDivisibleError
 from coinv.polynomials import (
     Poly,
     Q,
-    antisymmetrize,
-    block_group,
     divided_difference,
     e_block,
     e_sym,
-    eps_full,
-    eps_nu,
-    eps_pair,
-    exact_divide,
+    grlex_key,
     h_block,
     h_sym,
-    move_index,
-    symmetrize,
     verify_identity_suite,
 )
 from coinv.shapes import Composition
+
+from reference import (
+    NotDivisibleError,
+    antisymmetrize,
+    block_group,
+    eps_nu,
+    eps_pair,
+    exact_divide,
+    permute,
+    symmetrize,
+)
 
 
 def x(n, i):
@@ -92,9 +95,10 @@ class TestArithmetic:
     def test_leading_grlex(self):
         n = 2
         # within a degree x_1 beats x_2
-        assert (x(n, 1) + x(n, 2)).leading() == ((1, 0), Q(1))
+        assert max((x(n, 1) + x(n, 2)).terms, key=grlex_key) == (1, 0)
         f = x(n, 2) ** 3 + x(n, 1)
-        assert f.leading() == ((0, 3), Q(1))
+        assert max(f.terms, key=grlex_key) == (0, 3)
+        assert f.terms[(0, 3)] == Q(1)
 
 
 class TestJson:
@@ -139,11 +143,11 @@ class TestPermutation:
     def test_examples(self):
         n = 2
         swap = (2, 1)
-        assert x(n, 1).apply_permutation(swap) == x(n, 2)
+        assert permute(x(n, 1), swap) == x(n, 2)
         f = random_poly(random.Random(3), 2)
-        assert f.apply_permutation((1, 2)) == f
+        assert permute(f, (1, 2)) == f
         m = Poly.monomial(n, (1, 1))
-        assert m.apply_permutation(swap) == m
+        assert permute(m, swap) == m
 
     def test_ring_homomorphism_sampled(self):
         rng = random.Random(11)
@@ -153,13 +157,13 @@ class TestPermutation:
             rng.shuffle(w)
             w = tuple(w)
             f, g = random_poly(rng, n), random_poly(rng, n)
-            assert (f * g).apply_permutation(w) == f.apply_permutation(w) * g.apply_permutation(w)
-            assert (f + g).apply_permutation(w) == f.apply_permutation(w) + g.apply_permutation(w)
-            assert f.apply_permutation(w).degree() == f.degree()
+            assert permute(f * g, w) == permute(f, w) * permute(g, w)
+            assert permute(f + g, w) == permute(f, w) + permute(g, w)
+            assert permute(f, w).degree() == f.degree()
 
     def test_invalid_rejected(self):
         with pytest.raises(ValueError):
-            x(2, 1).apply_permutation((1, 1))
+            permute(x(2, 1), (1, 1))
 
 
 class TestSymmetrize:
@@ -194,7 +198,7 @@ class TestSymmetrize:
         for _ in range(5):
             s = symmetrize(random_poly(rng, 4), nu)
             for w, _ in block_group(nu):
-                assert s.apply_permutation(w) == s
+                assert permute(s, w) == s
 
     def test_block_group_orders(self):
         assert len(block_group(Composition(1, [2, 1]))) == 2
@@ -261,7 +265,7 @@ class TestDividedDifference:
             f = random_poly(rng, n, terms=6)
             for j in range(1, n):
                 expected = exact_divide(
-                    f - f.apply_permutation(swap(n, j)), x(n, j) - x(n, j + 1)
+                    f - permute(f, swap(n, j)), x(n, j) - x(n, j + 1)
                 )
                 assert divided_difference(f, j) == expected
 
@@ -356,7 +360,10 @@ class TestSymmetricPolynomials:
 
 class TestEps:
     def test_eps_full(self):
-        assert eps_full(2) == (x(2, 1) - x(2, 2)) / 2
+        # one block: the product of all differences x_i - x_j, i < j, over n!
+        assert eps_nu(Composition(1, [2])) == (x(2, 1) - x(2, 2)) / 2
+        full = (x(3, 1) - x(3, 2)) * (x(3, 1) - x(3, 3)) * (x(3, 2) - x(3, 3))
+        assert eps_nu(Composition(1, [3])) == full / 6
 
     def test_eps_nu_regular(self):
         assert eps_nu(Composition(1, [1, 1, 1])) == Poly.one(3)
@@ -378,15 +385,19 @@ class TestEps:
             eps_pair(Composition(1, [2, 1]), Composition(1, [1, 1, 1]))
 
     def test_move_index(self):
-        assert move_index(Composition(1, [1, 2, 1]), Composition(1, [1, 1, 2])) == 2
-        assert move_index(Composition(1, [1]), Composition(2, [1])) == 1
+        # the move is at index 2, and refining there leaves only singletons;
+        # refining at index 1 would keep the block {x2, x3}
+        assert eps_pair(Composition(1, [1, 2, 1]), Composition(1, [1, 1, 2])) == Poly.one(4)
+        # offset pair: the unit at index 1 moves to index 2
+        assert eps_pair(Composition(1, [1]), Composition(2, [1])) == Poly.one(1)
 
     def test_antisymmetrized_power_is_eps_multiple(self):
-        # the full antisymmetrization of the staircase monomial is eps_full
+        # the full antisymmetrization of the staircase monomial is the
+        # one-block difference product
         for n in (2, 3):
             stair = Poly.monomial(n, tuple(range(n - 1, -1, -1)))
             nu = Composition(1, [n])
-            assert antisymmetrize(stair, nu) == eps_full(n)
+            assert antisymmetrize(stair, nu) == eps_nu(nu)
 
 
 class TestIdentitySuite:

@@ -6,12 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coinv.errors import (
-    NonTerminatingError,
-    NotAntiInvariantError,
-    NotInvariantError,
-)
-from coinv.polynomials import Poly, Q, e_sym, eps_nu, h_sym
+from coinv.errors import NonTerminatingError, NotInvariantError
+from coinv.polynomials import Poly, Q, e_sym, h_sym
 from coinv.quotients import (
     QuotientPresentation,
     _canonical_exps,
@@ -19,7 +15,6 @@ from coinv.quotients import (
     _nf_monomial,
     _orbit_poly,
     _r_dims,
-    antiinv_divide,
     coinvariant_generators,
     ideals_equal,
     is_block_invariant,
@@ -38,6 +33,8 @@ from coinv.shapes import (
     transpose,
 )
 from coinv.tableaux import IntPoly, count_column_strict, kostka
+
+from reference import NotAntiInvariantError, antiinv_divide, eps_nu
 
 
 def comp(*parts):
