@@ -327,7 +327,7 @@ def cmd_act(args) -> int:
         except ZeroDivisionError:
             raise InputError("bad element JSON: zero denominator")
     try:
-        family = WeightFamily.unit(nu, window, mu, elem)
+        family = WeightFamily.unit(nu, window, mu, elem, form=args.form)
     except WindowOverflowError as exc:
         # exit 4 is for operator images; a start outside is bad input
         raise InputError(f"starting {exc}")

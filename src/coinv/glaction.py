@@ -448,9 +448,14 @@ class WeightFamily:
         return not nu.parts or lo <= nu.lo and nu.hi <= hi
 
     @classmethod
-    def unit(cls, nu: Composition, window: tuple, mu=None, elem=None):
-        """Family supported at one weight; elem defaults to 1."""
-        pres = presentation(nu, mu)
+    def unit(
+        cls, nu: Composition, window: tuple, mu=None, elem=None, form: str = "e"
+    ):
+        """Family supported at one weight; elem defaults to 1.
+
+        ``form`` picks the generator form of a shape-cut presentation.
+        """
+        pres = presentation(nu, mu, form=form)
         if elem is None:
             elem = pres.one()
         elif isinstance(elem, Poly):

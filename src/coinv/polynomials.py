@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterable, Sequence
 
 from .reporting import Report
@@ -145,9 +145,6 @@ class Poly:
         for e, c in self.terms.items():
             out.setdefault(sum(e), {})[e] = c
         return {d: Poly(self.n, t, _clean=True) for d, t in sorted(out.items())}
-
-    def coefficient(self, exp: Sequence[int]):
-        return self.terms.get(tuple(exp), 0)
 
     def constant(self):
         return self.terms.get((0,) * self.n, 0)
@@ -430,6 +427,16 @@ def h_block(nu: Composition, indices: Iterable[int], r: int) -> Poly:
 # identity suite
 
 
+def _convolution(first, second, r: int, alternating: bool = False) -> Poly:
+    """sum_{s=0..r} first(s) * second(r - s), each term signed (-1)^s when
+    ``alternating``; ``first`` and ``second`` map a degree to a Poly."""
+    acc = first(0) * second(r)
+    for s in range(1, r + 1):
+        term = first(s) * second(r - s)
+        acc = acc - term if alternating and s % 2 else acc + term
+    return acc
+
+
 def verify_identity_suite(n: int, r_max: int) -> Report:
     """Exact checks of the classical e/h identities in n variables.
 
@@ -444,85 +451,57 @@ def verify_identity_suite(n: int, r_max: int) -> Report:
         for size in range(n + 1)
         for s in itertools.combinations(universe, size)
     ]
+    # e(vars_)(r) and h(vars_)(r) are e_r and h_r of the chosen variables
+    e = partial(partial, e_sym, n)
+    h = partial(partial, h_sym, n)
 
-    ok = True
-    for sub in subsets:
-        for r in range(1, r_max + 1):
-            acc = Poly.zero(n)
-            for s in range(0, r + 1):
-                term = e_sym(n, sub, s) * h_sym(n, sub, r - s)
-                acc = acc + (term if s % 2 == 0 else -term)
-            if not acc.is_zero:
-                ok = False
+    ok = all(
+        _convolution(e(sub), h(sub), r, alternating=True).is_zero
+        for sub in subsets
+        for r in range(1, r_max + 1)
+    )
     report.add("eh_alternating_sum_vanishes", ok)
 
-    splits = []
+    cases = []
     for a_set in subsets:
         rest = [j for j in universe if j not in a_set]
         for size in range(len(rest) + 1):
             for b_set in itertools.combinations(rest, size):
-                splits.append((a_set, b_set))
+                union = tuple(sorted(a_set + b_set))
+                cases.extend((a_set, b_set, union, r) for r in range(r_max + 1))
+    ok = all(h(u)(r) == _convolution(h(a), h(b), r) for a, b, u, r in cases)
+    report.add("h_splits_over_disjoint_union", ok)
+    ok = all(e(u)(r) == _convolution(e(a), e(b), r) for a, b, u, r in cases)
+    report.add("e_splits_over_disjoint_union", ok)
+    ok = all(
+        h(a)(r) == _convolution(e(b), h(u), r, alternating=True)
+        for a, b, u, r in cases
+    )
+    report.add("h_of_subset_via_complement", ok)
+    ok = all(
+        e(a)(r) == _convolution(h(b), e(u), r, alternating=True)
+        for a, b, u, r in cases
+    )
+    report.add("e_of_subset_via_complement", ok)
 
-    ok_h = ok_e = ok_hc = ok_ec = True
-    for a_set, b_set in splits:
-        union = tuple(sorted(a_set + b_set))
-        for r in range(0, r_max + 1):
-            lhs = h_sym(n, union, r)
-            rhs = Poly.zero(n)
-            for s in range(0, r + 1):
-                rhs = rhs + h_sym(n, a_set, s) * h_sym(n, b_set, r - s)
-            if lhs != rhs:
-                ok_h = False
-
-            lhs = e_sym(n, union, r)
-            rhs = Poly.zero(n)
-            for s in range(0, r + 1):
-                rhs = rhs + e_sym(n, a_set, s) * e_sym(n, b_set, r - s)
-            if lhs != rhs:
-                ok_e = False
-
-            lhs = h_sym(n, a_set, r)
-            rhs = Poly.zero(n)
-            for s in range(0, r + 1):
-                term = e_sym(n, b_set, s) * h_sym(n, union, r - s)
-                rhs = rhs + (term if s % 2 == 0 else -term)
-            if lhs != rhs:
-                ok_hc = False
-
-            lhs = e_sym(n, a_set, r)
-            rhs = Poly.zero(n)
-            for s in range(0, r + 1):
-                term = h_sym(n, b_set, s) * e_sym(n, union, r - s)
-                rhs = rhs + (term if s % 2 == 0 else -term)
-            if lhs != rhs:
-                ok_ec = False
-    report.add("h_splits_over_disjoint_union", ok_h)
-    report.add("e_splits_over_disjoint_union", ok_e)
-    report.add("h_of_subset_via_complement", ok_hc)
-    report.add("e_of_subset_via_complement", ok_ec)
-
-    ok = True
-    for j in universe:
-        xj = Poly.var(n, j)
-        acc = Poly.zero(n)
-        for s in range(0, n + 1):
-            term = e_sym(n, full, s) * xj ** (n - s)
-            acc = acc + (term if s % 2 == 0 else -term)
-        if not acc.is_zero:
-            ok = False
+    ok = all(
+        _convolution(
+            e(full), partial(pow, Poly.var(n, j)), n, alternating=True
+        ).is_zero
+        for j in universe
+    )
     report.add("generator_annihilates_characteristic_sum", ok)
 
-    ok = True
-    for j in universe:
-        others = tuple(v for v in universe if v != j)
-        xj = Poly.var(n, j)
-        for m in range(0, r_max + 1):
-            rhs = Poly.zero(n)
-            for s in range(0, n):
-                term = e_sym(n, others, s) * h_sym(n, full, m - s)
-                rhs = rhs + (term if s % 2 == 0 else -term)
-            if xj ** m != rhs:
-                ok = False
+    # e_s of the n - 1 other variables vanishes for s >= n, so the sum up
+    # to m is the sum up to n - 1
+    ok = all(
+        Poly.var(n, j) ** m
+        == _convolution(
+            e([v for v in universe if v != j]), h(full), m, alternating=True
+        )
+        for j in universe
+        for m in range(r_max + 1)
+    )
     report.add("power_reduces_to_e_h_combination", ok)
 
     return report

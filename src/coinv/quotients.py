@@ -9,8 +9,10 @@ the echelon of J's degree slice that pivots on the smallest column in
 the global graded-lex order.  Both routes below produce that set.
 
 Standard presentations (the plain partial coinvariant algebra and the
-shape-cut quotients, e- and h-form) have all of e_1..e_n among their
-generators.  They are computed in the coinvariant algebra
+shape-cut quotients, e- and h-form) have ideals that contain Lambda+:
+the plain and e-form lists hold e_1..e_n of all variables, the h-form
+lists h_1..h_n of all variables, and either family generates Lambda+.
+They are computed in the coinvariant algebra
 R = C[x]/(Lambda+), which has dimension n! and vanishes above degree
 n(n-1)/2 (``_r_slice``).  Monomials have memoised normal forms modulo
 the staircase Groebner basis, J R is built degree by degree, and the
@@ -624,8 +626,9 @@ class QuotientPresentation:
 
     ``form`` ("e" or "h") labels the generator form of a standard
     presentation and is None for custom lists.  Only the standard
-    factory sets ``_in_r``: its generators include all of e_1..e_n, so
-    the degree pieces are computed in R.  Every other generator list
+    factory sets ``_in_r``: its generators include e_1..e_n or h_1..h_n
+    of all variables, so its ideal contains Lambda+ and the degree
+    pieces are computed in R.  Every other generator list
     uses the orbit-sum echelon of P_nu, which is right for any ideal.
     """
 
@@ -795,9 +798,6 @@ class QuotientPresentation:
         """Ideal membership."""
         return self.normal_form(f).rep.is_zero
 
-    def element(self, f: Poly) -> "QuotientElement":
-        return self.normal_form(f)
-
     def zero(self) -> "QuotientElement":
         return QuotientElement(self, Poly.zero(self.n))
 
@@ -949,15 +949,15 @@ def quotient_identity_report(n: int, r_max: int, window=None) -> Report:
     For every composition of n supported in the window and every split
     of its non-empty blocks into two complementary groups I and J,
     checks inside the plain quotient that h_r over the I variables is
-    congruent to (-1)^(r+1) e_r over the J variables, and that the
-    alternating e/h convolution over the I variables lies in the ideal.
+    congruent to (-1)^r e_r over the J variables: H_I(t) = 1 / E_I(-t),
+    and E_I(t) E_J(t) = E(t) is 1 modulo the ideal.
     """
     from .shapes import compositions_of
 
     report = Report(f"quotient-level identities, n={n}, r_max={r_max}")
     if window is None:
         window = (1, max(n, 1))
-    ok_pair = ok_conv = True
+    ok_pair = True
     seen = set()
     for nu in compositions_of(n, window):
         # interior zero blocks change nothing here
@@ -983,12 +983,5 @@ def quotient_identity_report(n: int, r_max: int, window=None) -> Report:
                     rhs = e_sym(n, j_vars, r) * ((-1) ** (r + 1))
                     if not pres.contains(lhs + rhs):
                         ok_pair = False
-                    acc = Poly.zero(n)
-                    for s in range(0, r + 1):
-                        term = e_sym(n, u_vars, s) * h_sym(n, u_vars, r - s)
-                        acc = acc + (term if s % 2 == 0 else -term)
-                    if not pres.contains(acc):
-                        ok_conv = False
     report.add("h_matches_signed_e_of_complement_in_quotient", ok_pair)
-    report.add("alternating_convolution_in_ideal", ok_conv)
     return report

@@ -284,10 +284,8 @@ def compositions_of(total: int, window: Sequence[int]) -> Iterator[Composition]:
         yield Composition(lo, parts)
 
 
-def partitions_of(total: int, max_part: int | None = None) -> Iterator[Partition]:
+def partitions_of(total: int) -> Iterator[Partition]:
     """Partitions of ``total`` in reverse-lexicographic order."""
-    if max_part is None:
-        max_part = total
 
     def gen(remaining: int, bound: int):
         if remaining == 0:
@@ -297,5 +295,5 @@ def partitions_of(total: int, max_part: int | None = None) -> Iterator[Partition
             for rest in gen(remaining - first, first):
                 yield (first,) + rest
 
-    for parts in gen(int(total), int(max_part)):
+    for parts in gen(int(total), int(total)):
         yield Partition(parts)

@@ -84,12 +84,6 @@ class ModuleHom:
         vals = ", ".join(repr(v) for v in self.values)
         return f"ModuleHom({self.direction}; [{vals}])"
 
-    def to_json(self) -> dict:
-        return {
-            "direction": self.direction,
-            "values": [v.to_json() for v in self.values],
-        }
-
 
 class PowerBasisTensor:
     """Canonicalized element of a two-factor tensor product.
@@ -181,12 +175,6 @@ class PowerBasisTensor:
             f"{rs}: {c!r}" for rs, c in sorted(self.coeffs.items())
         )
         return f"PowerBasisTensor({self.shape}; {{{body}}})"
-
-    def to_json(self) -> list:
-        return [
-            {"r": r, "s": s, "coeff": c.to_json()}
-            for (r, s), c in sorted(self.coeffs.items())
-        ]
 
 
 # ----------------------------------------------------------------------

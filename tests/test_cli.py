@@ -1,4 +1,5 @@
 import argparse
+import inspect
 import json
 import os
 import subprocess
@@ -248,6 +249,14 @@ def test_act_word_moves_weight(capsys):
     assert out.splitlines()[0].startswith("1,0,1@1:")
 
 
+@pytest.mark.parametrize("form", ["h", "e"])
+def test_act_accepts_either_generator_form(capsys, form):
+    argv = ["act", "--op", "F_1 F_2", "--nu", "2,1", "--mu", "2,1"]
+    code, out, _ = run(capsys, argv + ["--window", "1,3", "--form", form])
+    assert code == 0
+    assert out.splitlines() == ["1,1,1@1: x1 - x2"]
+
+
 # ----------------------------------------------------------------------
 # tableau commands
 
@@ -444,3 +453,18 @@ def test_second_call_constructs_no_parser(capsys, monkeypatch):
         assert built == []
     finally:
         cli.build_parser.cache_clear()
+
+
+def test_every_parsed_option_is_read():
+    # an option that parses but is never read would change nothing
+    parser = cli.build_parser()
+    (subparsers,) = [
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    for name, sub in subparsers.choices.items():
+        source = inspect.getsource(getattr(cli, "cmd_" + name))
+        for action in sub._actions:
+            # --output is read by emit(args, ...)
+            if action.dest in ("help", "output"):
+                continue
+            assert f"args.{action.dest}" in source, (name, action.dest)

@@ -444,6 +444,16 @@ def test_family_shape_order_does_not_matter():
     assert a + b == b * Q(2)
 
 
+def test_family_keeps_the_chosen_generator_form():
+    nu = comp(2, 1)
+    h_form = WeightFamily.unit(nu, (1, 3), comp(2, 1), form="h").apply("F", 1)
+    e_form = WeightFamily.unit(nu, (1, 3), comp(2, 1)).apply("F", 1)
+    assert h_form.components
+    assert {z.pres.form for z in h_form.components.values()} == {"h"}
+    assert {z.pres.form for z in e_form.components.values()} == {"e"}
+    assert h_form.to_json() == e_form.to_json()
+
+
 def test_component_cache_survives_presentation_cache_clear():
     window = (1, 2)
     lowered = WeightFamily.unit(comp(2), window).apply("F", 1)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from coinv.polynomials import (
     Poly,
     Q,
+    _convolution,
     divided_difference,
     e_block,
     e_sym,
@@ -420,6 +421,19 @@ class TestIdentitySuite:
         lhs = h_sym(n, [1, 2], 2)
         rhs = h_sym(n, [1], 2) + h_sym(n, [1], 1) * h_sym(n, [2], 1) + h_sym(n, [2], 2)
         assert lhs == rhs
+
+    def test_convolution_order_and_sign(self):
+        x = Poly.var(1, 1)
+
+        def first(s):
+            return x**s
+
+        def second(k):
+            return Poly.const(1, k + 1)
+
+        assert _convolution(first, second, 2) == 3 + 2 * x + x**2
+        assert _convolution(first, second, 2, alternating=True) == 3 - 2 * x + x**2
+        assert _convolution(first, second, 0, alternating=True) == Poly.one(1)
 
     def test_suite_passes(self):
         for n, r_max in [(1, 3), (2, 4), (3, 4)]:
