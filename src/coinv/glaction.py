@@ -34,7 +34,6 @@ from typing import NamedTuple
 from .errors import NoSolutionError, NotInvariantError, WindowOverflowError
 from .polynomials import (
     Poly,
-    Q,
     _coef,
     _coefs,
     divided_difference,
@@ -46,10 +45,9 @@ from .quotients import (
     _blocks_of,
     _canonical_exps,
     _Echelon,
-    _is_canonical,
     _orbit_poly,
+    _orbit_terms,
     _wd_tuples,
-    ensure_block_invariant,
     presentation,
     tanisaki_generators_h,
 )
@@ -129,22 +127,31 @@ class KeySituation:
 
     def f_kernel(self) -> Poly:
         """Product of (x_{k-j} - x_k) for j = 1..a."""
-        n, k = self.n, self.k
-        out = Poly.one(n)
-        for j in range(1, self.a + 1):
-            out = out * (Poly.var(n, k - j) - Poly.var(n, k))
-        return out
+        return _kernel(self.n, self.k, -self.a)
 
     def e_kernel(self) -> Poly:
         """Product of (x_k - x_{k+j}) for j = 1..b."""
-        n, k = self.n, self.k
-        out = Poly.one(n)
-        for j in range(1, self.b + 1):
-            out = out * (Poly.var(n, k) - Poly.var(n, k + j))
-        return out
+        return _kernel(self.n, self.k, self.b)
 
     def __repr__(self) -> str:
         return f"KeySituation(i={self.i}, nu={self.nu!r})"
+
+
+@lru_cache(maxsize=1024)
+def _kernel(n: int, k: int, span: int) -> Poly:
+    """Product of (x_{k-j} - x_k) for j = 1..-span when span < 0, and of
+    (x_k - x_{k+j}) for j = 1..span otherwise.
+
+    Key situations in n variables give at most n^2 keys, so the memo
+    holds every kernel of the operator sweeps up to n = 8.
+    """
+    out = Poly.one(n)
+    for j in range(1, abs(span) + 1):
+        if span < 0:
+            out = out * (Poly.var(n, k - j) - Poly.var(n, k))
+        else:
+            out = out * (Poly.var(n, k) - Poly.var(n, k + j))
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -258,17 +265,14 @@ def decompose_over(ks: KeySituation, f, side: str) -> list:
     if f.n != ks.n:
         raise ValueError("wrong variable count")
     try:
-        ensure_block_invariant(f, ks.rho)
+        canon_terms = _orbit_terms(f, ks.rho)
     except NotInvariantError as exc:
         raise NoSolutionError(str(exc)) from exc
     block = s.base.block_range(s.block)
     start, stop = block.start - 1, block.stop - 1
     last = ks.k == block[-1]
-    rho_blocks = _blocks_of(ks.rho)
     coords = [dict() for _ in range(s.top + 1)]
-    for exp, c in f.terms.items():
-        if not _is_canonical(exp, rho_blocks):
-            continue
+    for exp, c in canon_terms.items():
         head, tail = exp[:start], exp[stop:]
         for (r, lam), v in _power_coords(s.top + 1, last, exp[start:stop]):
             key = head + lam + tail
@@ -357,7 +361,7 @@ def push(ks: KeySituation, f, side: str) -> QuotientElement:
 
 def apply_D(i: int, nu: Composition, z: QuotientElement) -> QuotientElement:
     """Diagonal operator: multiplication by the weight entry at i."""
-    return z * Q(nu[i])
+    return z * nu[i]
 
 
 def _apply_component(op: str, i: int, nu: Composition, z: QuotientElement):
@@ -417,16 +421,29 @@ class WeightFamily:
     """Finitely supported element of a direct sum of quotients.
 
     Components map compositions (supported inside the window) to
-    elements of the corresponding plain or shape-cut quotient.
+    elements of the corresponding plain or shape-cut quotient.  ``form``
+    is the generator form ("e" or "h") of those quotients' presentations;
+    it defaults to the form of a given component, and plain quotients
+    are always "e".  Families combine only when n, window, shape and
+    form all agree.
     """
 
-    __slots__ = ("n", "window", "mu", "components")
+    __slots__ = ("n", "window", "mu", "form", "components")
 
-    def __init__(self, n: int, window: tuple, mu=None, components=None):
+    def __init__(
+        self, n: int, window: tuple, mu=None, components=None, form=None
+    ):
         self.n = n
         self.window = (int(window[0]), int(window[1]))
         # the shape as presentation() stores it
         self.mu = None if mu is None else canonical_shape(mu)
+        if self.mu is None:
+            form = "e"
+        elif form is None:
+            form = next((z.pres.form for z in (components or {}).values()), "e")
+        if form not in ("e", "h"):
+            raise ValueError(f"unknown form {form!r}")
+        self.form = form
         comps = {}
         for nu, z in (components or {}).items():
             # checked before zeros are dropped: a weight outside is an
@@ -460,7 +477,7 @@ class WeightFamily:
             elem = pres.one()
         elif isinstance(elem, Poly):
             elem = pres.normal_form(elem)
-        return cls(nu.n, window, mu, {nu: elem})
+        return cls(nu.n, window, mu, {nu: elem}, form)
 
     @property
     def is_zero(self) -> bool:
@@ -472,14 +489,14 @@ class WeightFamily:
         for nu, z in other.components.items():
             cur = comps.get(nu)
             comps[nu] = z if cur is None else cur + z
-        return WeightFamily(self.n, self.window, self.mu, comps)
+        return WeightFamily(self.n, self.window, self.mu, comps, self.form)
 
     def __sub__(self, other: "WeightFamily") -> "WeightFamily":
-        return self + (other * Q(-1))
+        return self + (other * -1)
 
     def __mul__(self, scalar) -> "WeightFamily":
         comps = {nu: z * scalar for nu, z in self.components.items()}
-        return WeightFamily(self.n, self.window, self.mu, comps)
+        return WeightFamily(self.n, self.window, self.mu, comps, self.form)
 
     __rmul__ = __mul__
 
@@ -487,13 +504,15 @@ class WeightFamily:
         if not isinstance(other, WeightFamily):
             return NotImplemented
         return (
-            self.n == other.n
-            and self.window == other.window
+            self._settings() == other._settings()
             and self.components == other.components
         )
 
+    def _settings(self) -> tuple:
+        return self.n, self.window, self.mu, self.form
+
     def _compat(self, other: "WeightFamily") -> None:
-        if (self.n, self.window, self.mu) != (other.n, other.window, other.mu):
+        if self._settings() != other._settings():
             raise ValueError("families from different settings")
 
     def apply(self, op: str, i: int) -> "WeightFamily":
@@ -513,7 +532,7 @@ class WeightFamily:
                 )
             cur = out.get(target_nu)
             out[target_nu] = image if cur is None else cur + image
-        return WeightFamily(self.n, self.window, self.mu, out)
+        return WeightFamily(self.n, self.window, self.mu, out, self.form)
 
     def to_json(self) -> list:
         out = []
@@ -607,7 +626,7 @@ def relation_report(n: int, window: tuple, mu=None) -> Report:
         for i in range(lo, hi + 1):
             for j in move_idx:
                 # [D_i, E_j] = (d_ij - d_i,j+1) E_j, and minus that for F_j
-                scal = Q(1 if i == j else 0) - Q(1 if i == j + 1 else 0)
+                scal = (1 if i == j else 0) - (1 if i == j + 1 else 0)
                 for op, sign in (("E", 1), ("F", -1)):
                     moved = fam.apply(op, j)
                     comm = moved.apply("D", i) - fam.apply("D", i).apply(op, j)

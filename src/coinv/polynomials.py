@@ -21,6 +21,7 @@ degree).
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from functools import lru_cache, partial
 from typing import Iterable, Sequence
@@ -208,7 +209,7 @@ class Poly:
         out: dict = {}
         for e1, c1 in a.items():
             for e2, c2 in b.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
+                e = tuple(map(operator.add, e1, e2))
                 s = out.get(e)
                 if s is None:
                     out[e] = c1 * c2

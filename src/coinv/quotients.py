@@ -25,6 +25,13 @@ it (``QuotientPresentation._verify_vanishing``).  Both routes are
 lru_cache'd on the variable blocks and the generators, so presentations
 over translated or zero-padded compositions share them.  ``_Echelon``
 is the only elimination in the package.
+
+An invariant polynomial's orbit-sum coordinates are its canonical terms,
+since each orbit sum has coefficient one on its canonical monomial.
+``_orbit_terms`` checks block invariance and reads those coordinates in
+one pass over the terms; ``normal_form``, ``glaction.decompose_over``
+and the invariance predicates all go through it, so every input is
+checked and the check costs no second pass.
 """
 
 from __future__ import annotations
@@ -168,28 +175,43 @@ def _orbit_poly(blocks: tuple, n: int, exp: tuple) -> Poly:
     return Poly(n, terms, _clean=True)
 
 
-def is_block_invariant(f: Poly, nu: Composition) -> bool:
-    """Whether f is fixed by the block subgroup of nu.
+def _orbit_terms(f: Poly, nu: Composition) -> dict:
+    """The canonical terms {canonical exp: coef} of a block-invariant f.
 
-    Each term's coefficient must equal its canonical term's, so every
-    orbit present has one coefficient; the term count then equals the
-    sum of those orbits' sizes exactly when every orbit is complete.
+    One pass over the terms checks invariance and collects the orbit
+    coordinates.  Each term's coefficient must equal its canonical
+    term's, so every orbit present has one coefficient; the term count
+    then equals the sum of those orbits' sizes exactly when every orbit
+    is complete.  Raises NotInvariantError otherwise.
     """
     blocks = _blocks_of(nu)
     terms = f.terms
+    canon_terms = {}
     count = 0
     for exp, c in terms.items():
         canon = _canonical_exp(exp, blocks)
         if terms.get(canon) != c:
-            return False
+            break
         if canon == exp:
-            count += _orbit_size(canon, blocks)
-    return count == len(terms)
+            canon_terms[exp] = c
+            count += _orbit_size(exp, blocks)
+    else:
+        if count == len(terms):
+            return canon_terms
+    raise NotInvariantError(f"polynomial is not invariant for blocks of {nu!r}")
+
+
+def is_block_invariant(f: Poly, nu: Composition) -> bool:
+    """Whether f is fixed by the block subgroup of nu."""
+    try:
+        _orbit_terms(f, nu)
+    except NotInvariantError:
+        return False
+    return True
 
 
 def ensure_block_invariant(f: Poly, nu: Composition) -> None:
-    if not is_block_invariant(f, nu):
-        raise NotInvariantError(f"polynomial is not invariant for blocks of {nu!r}")
+    _orbit_terms(f, nu)
 
 
 # ----------------------------------------------------------------------
@@ -770,23 +792,33 @@ class QuotientPresentation:
             yield from self.graded_basis(d)
 
     def normal_form(self, f: Poly) -> "QuotientElement":
+        """The canonical representative of f in the quotient.
+
+        One pass over f's terms checks block invariance (raising
+        NotInvariantError) and reads f's orbit-sum coordinates, its
+        canonical terms; those are grouped by degree and reduced there.
+        """
         if f.n != self.n:
             raise ValueError("wrong variable count")
-        ensure_block_invariant(f, self.nu)
+        canon_terms = _orbit_terms(f, self.nu)
         if self.is_zero_algebra:
             return QuotientElement(self, Poly.zero(self.n))
+        by_degree: dict = {}
+        for exp, c in canon_terms.items():
+            by_degree.setdefault(sum(exp), []).append((exp, c))
         # beyond the verified window every component reduces to zero;
         # without a degree bound just work at the component's own degree
         cutoff = None if self._top is None else self._top_int() + self._window
         acc: dict = {}
-        for di, comp in f.homogeneous_components().items():
+        for di, coords in sorted(by_degree.items()):
             if cutoff is not None and di > cutoff:
                 self._verify_vanishing()
                 continue
             data = self._degree_data(di)
             if not data.basis_cols:
                 continue
-            vec = _coordinatize(comp, data.col_of, self._blocks)
+            col_of = data.col_of
+            vec = sorted((col_of[exp], c) for exp, c in coords)
             for col, coef in data.reduce(vec):
                 orbit = _orbit_poly(self._blocks, self.n, data.exps[col])
                 for exp, c in orbit.terms.items():

@@ -5,6 +5,8 @@ can be checked against something that shares no code with them.  From
 ``coinv`` they take only the data types ``Poly``, ``Q``, ``grlex_key``
 and ``Composition``.
 
+Block invariance is restated as being fixed by every block permutation.
+
 The orbit-sum formula antisymmetrizes over the block group of a
 composition, then divides by the block difference product.  It equals
 the divided-difference chains of ``glaction.apply_F_poly`` and
@@ -67,6 +69,11 @@ def block_group(nu: Composition) -> list:
         inversions = sum(a > b for a, b in itertools.combinations(w, 2))
         group.append((w, (-1) ** inversions))
     return group
+
+
+def is_fixed_by_block_group(f: Poly, nu: Composition) -> bool:
+    """Whether every permutation in the block group of ``nu`` fixes ``f``."""
+    return all(permute(f, w) == f for w, _ in block_group(nu))
 
 
 def symmetrize(f: Poly, nu: Composition) -> Poly:

@@ -211,6 +211,23 @@ def test_act_bad_inputs(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "terms",
+    [
+        [([1, 0], 1)],
+        [([2, 0], 1), ([0, 2], 2)],
+        [([2, 0], 1), ([0, 1], 1)],
+    ],
+)
+def test_act_non_invariant_element_exits_two(capsys, terms):
+    elem = json.dumps([{"exp": e, "num": str(c), "den": "1"} for e, c in terms])
+    for op in ("", "F_1"):
+        code, out, err = run(capsys, ["act", "--op", op, "--nu", "2@1", "--elem", elem])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "not invariant" in err
+
+
 def test_act_zero_denominator_is_input_error(capsys):
     elem = json.dumps([{"exp": [1, 0], "num": "1", "den": "0"}])
     code, _, err = run(

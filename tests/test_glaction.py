@@ -1,8 +1,9 @@
 import random
+from functools import reduce
 
 import pytest
 
-from coinv.errors import NoSolutionError, WindowOverflowError
+from coinv.errors import NoSolutionError, NotInvariantError, WindowOverflowError
 from coinv.glaction import (
     KeySituation,
     WeightFamily,
@@ -119,6 +120,41 @@ def test_kernels():
 
 # ----------------------------------------------------------------------
 # polynomial-level operators, frozen values
+
+
+def test_memoised_kernels_match_the_product_formula():
+    checked = 0
+    for n in range(1, 6):
+        x = [None] + [Poly.var(n, j) for j in range(1, n + 1)]
+        for ks in key_situations(n):
+            k = ks.k
+            f_kernel = reduce(
+                Poly.__mul__, (x[k - j] - x[k] for j in range(1, ks.a + 1)), Poly.one(n)
+            )
+            e_kernel = reduce(
+                Poly.__mul__, (x[k] - x[k + j] for j in range(1, ks.b + 1)), Poly.one(n)
+            )
+            assert ks.f_kernel() == f_kernel, ks
+            assert ks.e_kernel() == e_kernel, ks
+            assert KeySituation(ks.i, ks.nu).f_kernel() is ks.f_kernel()
+            checked += 1
+    assert checked == 2 + 12 + 60 + 280
+
+
+def test_operator_images_are_invariant_for_their_target():
+    # every image the polynomial route hands to normal_form passes the
+    # invariance check that normal_form makes
+    checked = 0
+    for n in range(1, 5):
+        for mu in [None] + list(partitions_of(n)):
+            for ks in key_situations(n):
+                for z in presentation(ks.nu, mu).basis():
+                    assert is_block_invariant(apply_F_poly(ks, z.rep), ks.nu_prime)
+                    checked += 1
+                for z in presentation(ks.nu_prime, mu).basis():
+                    assert is_block_invariant(apply_E_poly(ks, z.rep), ks.nu)
+                    checked += 1
+    assert checked == 2958
 
 
 def test_lowering_of_one_is_root_difference():
@@ -239,6 +275,18 @@ def test_decompose_rejects_non_invariant():
     ks = KeySituation(1, comp(3))  # refined blocks still glue x1, x2
     with pytest.raises(NoSolutionError):
         decompose_over(ks, Poly.var(3, 1), "nu")
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [{(1, 0, 0): 1}, {(2, 0, 0): 1, (0, 2, 0): 2}, {(2, 0, 0): 1, (0, 1, 0): 1}],
+)
+def test_decompose_turns_non_invariance_into_no_solution(terms):
+    ks = KeySituation(1, comp(3))
+    for side in ("nu", "nu_prime"):
+        with pytest.raises(NoSolutionError) as info:
+            decompose_over(ks, Poly(3, terms), side)
+        assert isinstance(info.value.__cause__, NotInvariantError)
 
 
 def test_decompose_rejects_bad_side_and_size():
@@ -452,6 +500,30 @@ def test_family_keeps_the_chosen_generator_form():
     assert {z.pres.form for z in h_form.components.values()} == {"h"}
     assert {z.pres.form for z in e_form.components.values()} == {"e"}
     assert h_form.to_json() == e_form.to_json()
+
+
+def test_family_form_is_part_of_its_setting():
+    mu, window = comp(2, 1), (1, 3)
+    h_form = WeightFamily.unit(comp(2, 1), window, mu, form="h")
+    e_form = WeightFamily.unit(comp(2, 1), window, mu)
+    assert (h_form.form, e_form.form) == ("h", "e")
+    assert h_form != e_form
+    assert h_form == WeightFamily.unit(comp(2, 1), window, mu, form="h")
+    with pytest.raises(ValueError, match="different settings"):
+        h_form + e_form
+    with pytest.raises(ValueError, match="different settings"):
+        h_form + WeightFamily.unit(comp(1, 2), window, mu)
+    # steps, differences and scalings keep the form, also when empty
+    assert h_form.apply("F", 1).form == "h"
+    assert (h_form - h_form).form == "h"
+    assert (h_form * 0).form == "h"
+    # without a form the components' form is taken
+    h_pres = presentation(comp(2, 1), mu, form="h")
+    assert WeightFamily(3, window, mu, {comp(2, 1): h_pres.one()}) == h_form
+    # plain quotients have one form
+    assert WeightFamily.unit(comp(2, 1), window, form="h").form == "e"
+    with pytest.raises(ValueError, match="unknown form"):
+        WeightFamily(3, window, mu, form="x")
 
 
 def test_component_cache_survives_presentation_cache_clear():

@@ -14,6 +14,7 @@ from coinv.quotients import (
     _blocks_of,
     _nf_monomial,
     _orbit_poly,
+    _orbit_terms,
     _r_dims,
     coinvariant_generators,
     ideals_equal,
@@ -34,7 +35,13 @@ from coinv.shapes import (
 )
 from coinv.tableaux import IntPoly, count_column_strict, kostka
 
-from reference import NotAntiInvariantError, antiinv_divide, eps_nu
+from reference import (
+    NotAntiInvariantError,
+    antiinv_divide,
+    eps_nu,
+    is_fixed_by_block_group,
+    symmetrize,
+)
 
 
 def comp(*parts):
@@ -223,6 +230,94 @@ def test_is_block_invariant():
     assert is_block_invariant(x1 * x2, nu)
     assert not is_block_invariant(x1, nu)
     assert not is_block_invariant(x1 * x1 + x2, nu)
+
+
+def weakly_decreasing_in_blocks(exp: tuple, nu: Composition) -> bool:
+    return all(
+        exp[v - 1] >= exp[v]
+        for i in nu.indices()
+        for v in list(nu.block_range(i))[:-1]
+    )
+
+
+@st.composite
+def polys_over_compositions(draw):
+    """A composition of n <= 5 and a polynomial in n variables: random,
+    invariant (a combination of symmetrized monomials), or invariant with
+    one term dropped, rescaled or added."""
+    n = draw(st.integers(0, 5))
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=3)))
+    bounds = [0] + cuts + [n]
+    nu = Composition(draw(st.integers(-1, 2)), [b - a for a, b in zip(bounds, bounds[1:])])
+    exps = st.lists(st.integers(0, 2), min_size=n, max_size=n).map(tuple)
+    coefs = st.integers(-3, 3).filter(bool)
+    pairs = draw(st.lists(st.tuples(exps, coefs), max_size=4))
+    mode = draw(st.sampled_from(["random", "invariant", "perturbed"]))
+    if mode == "random":
+        return Poly(n, dict(pairs)), nu
+    f = sum(
+        (symmetrize(Poly.monomial(n, e, c), nu) for e, c in pairs), Poly.zero(n)
+    )
+    if mode == "invariant" or f.is_zero:
+        return f, nu
+    terms = dict(f.terms)
+    exp = draw(st.sampled_from(sorted(terms)))
+    edit = draw(st.sampled_from(["drop", "rescale", "add"]))
+    if edit == "drop":
+        del terms[exp]
+    elif edit == "rescale":
+        terms[exp] *= 2
+    else:
+        extra = draw(exps)
+        terms[extra] = terms.get(extra, 0) + 1
+    return Poly(n, terms), nu
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(polys_over_compositions())
+def test_orbit_terms_matches_the_definition_of_invariance(case):
+    f, nu = case
+    if is_fixed_by_block_group(f, nu):
+        assert _orbit_terms(f, nu) == {
+            e: c for e, c in f.terms.items() if weakly_decreasing_in_blocks(e, nu)
+        }
+        assert is_block_invariant(f, nu)
+    else:
+        with pytest.raises(NotInvariantError):
+            _orbit_terms(f, nu)
+        assert not is_block_invariant(f, nu)
+
+
+def test_orbit_terms_edge_cases():
+    nu = comp(2)
+    x1, x2 = Poly.var(2, 1), Poly.var(2, 2)
+    assert _orbit_terms(Poly.zero(2), nu) == {}
+    assert _orbit_terms(Poly.const(2, Q(3, 2)), nu) == {(0, 0): Q(3, 2)}
+    assert _orbit_terms(x1 * x1 + x2 * x2 - x1 * x2 * 3, nu) == {(2, 0): 1, (1, 1): -3}
+    # a complete orbit with unequal coefficients
+    with pytest.raises(NotInvariantError):
+        _orbit_terms(x1 * x1 + x2 * x2 * 2, nu)
+    # incomplete orbits with equal coefficients
+    with pytest.raises(NotInvariantError):
+        _orbit_terms(x1 * x1 + x2, nu)
+    # only the canonical term of an orbit
+    with pytest.raises(NotInvariantError):
+        _orbit_terms(x1, nu)
+    # singleton blocks fix everything
+    assert _orbit_terms(x1 * x1 + x2, comp(1, 1)) == {(2, 0): 1, (0, 1): 1}
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [{(1, 0): 1}, {(2, 0): 1, (0, 2): 2}, {(2, 0): 1, (0, 1): 1}],
+)
+def test_non_invariant_input_raises_in_every_quotient_query(terms):
+    f = Poly(2, terms)
+    for pres in (presentation(comp(2)), presentation(comp(2), comp(1, 1), form="h")):
+        with pytest.raises(NotInvariantError):
+            pres.normal_form(f)
+        with pytest.raises(NotInvariantError):
+            pres.contains(f)
 
 
 def test_normal_form_is_algebra_map():

@@ -7,7 +7,7 @@ from pathlib import Path
 TESTS = Path(__file__).resolve().parent
 REFERENCE_ONLY = {
     "symmetrize", "antisymmetrize", "exact_divide", "eps_nu", "eps_pair", "eps_full",
-    "block_group", "antiinv_divide",
+    "block_group", "antiinv_divide", "is_fixed_by_block_group",
 }
 
 
