@@ -6,34 +6,32 @@ explicit generator list.  Per-degree data is computed lazily: the
 orbit-sum monomial basis of P_nu in that degree and the canonical basis
 columns of the quotient.  The canonical basis is the non-pivot set of
 the echelon of J's degree slice that pivots on the smallest column in
-the global graded-lex order.  Both routes below produce that set.
+the global graded-lex order.
 
-Standard presentations (the plain partial coinvariant algebra and the
-shape-cut quotients, e- and h-form) have ideals that contain Lambda+:
-the plain and e-form lists hold e_1..e_n of all variables, the h-form
-lists h_1..h_n of all variables, and either family generates Lambda+.
-They are computed in the coinvariant algebra
-R = C[x]/(Lambda+), which has dimension n! and vanishes above degree
-n(n-1)/2 (``_r_slice``).  Monomials have memoised normal forms modulo
-the staircase Groebner basis, J R is built degree by degree, and the
-basis columns are the orbit sums independent modulo J R.
-
-Custom generator lists keep the orbit-sum route (``_slice``): the ideal
-slice is echeloned in orbit-sum coordinates of P_nu.  On either route,
-vanishing above the top is certified by the max(nu.parts) degrees above
-it (``QuotientPresentation._verify_vanishing``).  Both routes are
+Every generator list must contain Lambda+, the ideal of symmetric
+polynomials without constant term: it must hold e_1..e_n or h_1..h_n of
+all variables, either of which generates Lambda+.  The standard
+presentations do (the plain and e-form lists hold e_1..e_n, the h-form
+lists h_1..h_n), and ``QuotientPresentation`` refuses any other list
+with a ValueError.  Every quotient is then computed in the coinvariant
+algebra R = C[x]/(Lambda+), which has dimension n! and vanishes above
+degree n(n-1)/2 (``_r_slice``).  Monomials have memoised normal forms
+modulo the staircase Groebner basis, J R is built degree by degree, and
+the basis columns are the orbit sums independent modulo J R.  Vanishing
+above the top is certified by the max(nu.parts) degrees above it
+(``QuotientPresentation._verify_vanishing``).  ``_r_slice`` is
 lru_cache'd on the variable blocks and the generators, so presentations
-over translated or zero-padded compositions share them.  ``_Echelon``
-is the only elimination in the package.
+over translated or zero-padded compositions share it.  ``_Echelon`` is
+the only elimination in the package; the tests check it against an
+orbit-sum echelon of P_nu kept in ``tests/reference.py``.
 
 An invariant polynomial's orbit-sum coordinates are its canonical terms,
 since each orbit sum has coefficient one on its canonical monomial.
 ``_orbit_terms`` checks block invariance and reads those coordinates in
-one pass over the terms; ``normal_form``, ``glaction.decompose_over``
-and the invariance predicates all go through it, so every input is
-checked and the check costs no second pass.
+one pass over the terms; ``normal_form``, ``glaction.decompose_over``,
+the constructor and the invariance predicates all go through it, so
+every input is checked and the check costs no second pass.
 """
-
 from __future__ import annotations
 
 import itertools
@@ -85,14 +83,6 @@ def _canonical_exp(exp: tuple, blocks: tuple) -> tuple:
         seg = sorted(out[start:stop], reverse=True)
         out[start:stop] = seg
     return tuple(out)
-
-
-def _is_canonical(exp: tuple, blocks: tuple) -> bool:
-    for start, stop in blocks:
-        for j in range(start, stop - 1):
-            if exp[j] < exp[j + 1]:
-                return False
-    return True
 
 
 @lru_cache(maxsize=None)
@@ -208,10 +198,6 @@ def is_block_invariant(f: Poly, nu: Composition) -> bool:
     except NotInvariantError:
         return False
     return True
-
-
-def ensure_block_invariant(f: Poly, nu: Composition) -> None:
-    _orbit_terms(f, nu)
 
 
 # ----------------------------------------------------------------------
@@ -357,63 +343,6 @@ class _Echelon:
         return out
 
 
-class _DegreeData:
-    """One degree of a quotient in orbit-sum coordinates.
-
-    ``basis_cols`` are the canonical basis columns, the non-pivot columns
-    of the echelon of the ideal's degree slice.
-    """
-
-    __slots__ = ("exps", "col_of", "echelon", "basis_cols")
-
-    def __init__(self, exps, col_of, echelon, basis_cols):
-        self.exps = exps
-        self.col_of = col_of
-        self.echelon = echelon
-        self.basis_cols = basis_cols
-
-    def reduce(self, vec: list) -> list:
-        """Coefficients on the basis columns of an orbit-coordinate vector."""
-        return self.echelon.reduce(vec)
-
-
-def _coordinatize(f: Poly, col_of: dict, blocks: tuple) -> list:
-    """Coefficients of an invariant polynomial on the orbit-sum basis.
-
-    Each orbit sum has coefficient one on its canonical monomial, so the
-    coordinates are read off the canonical terms directly.
-    """
-    vec: dict = {}
-    for exp, c in f.terms.items():
-        if _is_canonical(exp, blocks):
-            vec[col_of[exp]] = c
-    return sorted(vec.items())
-
-
-@lru_cache(maxsize=None)
-def _slice(blocks: tuple, n: int, supply: tuple, d: int) -> _DegreeData:
-    """Echelon of the degree-d slice of the ideal generated by ``supply``.
-
-    Rows are generator times orbit-sum products, fed in supply order
-    until the echelon reaches full rank; a constant generator fills
-    every column by itself.  The non-pivot columns are the basis.
-    """
-    exps = _canonical_exps(blocks, n, d)
-    col_of = {e: i for i, e in enumerate(exps)}
-    ech = _Echelon()
-    products = (
-        g * _orbit_poly(blocks, n, mexp)
-        for g in supply
-        for mexp in _canonical_exps(blocks, n, d - g.degree() // 2)
-    )
-    for f in products:
-        if ech.rank == len(exps):
-            break
-        ech.insert(_coordinatize(f, col_of, blocks))
-    basis_cols = tuple(i for i in range(len(exps)) if i not in ech.pivots)
-    return _DegreeData(exps, col_of, ech, basis_cols)
-
-
 # ----------------------------------------------------------------------
 # the coinvariant algebra R = C[x]/(Lambda+)
 #
@@ -507,7 +436,7 @@ def _times_var(n: int, row: list, j: int) -> list:
 
 
 @lru_cache(maxsize=None)
-def _ideal_in_r(n: int, gens: tuple, d: int) -> _Echelon:
+def _r_ideal(n: int, gens: tuple, d: int) -> _Echelon:
     """Echelon of (JR)_d, the degree-d part of the ideal of R that gens generate.
 
     (JR)_d is spanned by the normal forms of the degree-d generators and
@@ -518,7 +447,7 @@ def _ideal_in_r(n: int, gens: tuple, d: int) -> _Echelon:
     full = _r_dims(n)[d] if d < len(_r_dims(n)) else 0
     if full == 0:
         return ech
-    below = _ideal_in_r(n, gens, d - 1).pivots.values() if d else ()
+    below = _r_ideal(n, gens, d - 1).pivots.values() if d else ()
     rows = itertools.chain(
         (_nf_row(n, g) for g in gens if g.degree() == 2 * d),
         (_times_var(n, row, j) for row in below for j in range(n - 1)),
@@ -538,22 +467,25 @@ def _tag_coords(red: list, tag: int) -> tuple:
     return tuple((u - tag, -v) for u, v in red[1:])
 
 
-class _RDegreeData(_DegreeData):
-    """One degree computed in R; coordinates are found on first use.
+class _DegreeData:
+    """One degree of a quotient, computed in R; coordinates are found on first use.
 
-    ``echelon`` holds (JR)_d and the basis columns' rows, each with a tag
-    entry at n! + column.  A column reduces to its own tag plus minus its
-    coefficients on the basis columns' tags, as in glaction.decompose_over.
+    ``exps`` are the canonical exponents of the orbit-sum columns and
+    ``basis_cols`` the canonical basis columns.  ``echelon`` holds (JR)_d
+    and the basis columns' rows, each with a tag entry at n! + column.  A
+    column reduces to its own tag plus minus its coefficients on the basis
+    columns' tags, as in glaction.decompose_over.
     """
 
-    __slots__ = ("blocks", "n", "coords")
+    __slots__ = ("blocks", "n", "exps", "col_of", "echelon", "basis_cols", "coords")
 
     def __init__(self, blocks, n, exps, echelon, basis_cols, coords):
-        super().__init__(
-            exps, {e: i for i, e in enumerate(exps)}, echelon, basis_cols
-        )
         self.blocks = blocks
         self.n = n
+        self.exps = exps
+        self.col_of = {e: i for i, e in enumerate(exps)}
+        self.echelon = echelon
+        self.basis_cols = basis_cols
         self.coords = coords
 
     def express(self, c: int) -> tuple:
@@ -566,6 +498,7 @@ class _RDegreeData(_DegreeData):
         return self.coords[c]
 
     def reduce(self, vec: list) -> list:
+        """Coefficients on the basis columns of an orbit-coordinate vector."""
         acc: dict = {}
         for col, v in vec:
             for u, a in self.express(col):
@@ -573,7 +506,7 @@ class _RDegreeData(_DegreeData):
         return sorted((u, a) for u, a in acc.items() if a != 0)
 
 
-_EMPTY_DEGREE = _DegreeData((), {}, None, ())
+_EMPTY_DEGREE = _DegreeData((), 0, (), None, (), ())
 
 
 @lru_cache(maxsize=None)
@@ -607,7 +540,7 @@ def _r_slice(blocks: tuple, n: int, gens: tuple, d: int) -> _DegreeData:
         ]
     if not any(spanning):
         return _EMPTY_DEGREE
-    ideal = _ideal_in_r(n, gens, d)
+    ideal = _r_ideal(n, gens, d)
     span = _Echelon()
     span.pivots = dict(ideal.pivots)
     for row in spanning:
@@ -631,7 +564,7 @@ def _r_slice(blocks: tuple, n: int, gens: tuple, d: int) -> _DegreeData:
             coords[c] = ((c, 1),)
         else:
             coords[c] = _tag_coords(red, tag)
-    return _RDegreeData(blocks, n, exps, ech, tuple(sorted(basis)), coords)
+    return _DegreeData(blocks, n, exps, ech, tuple(sorted(basis)), coords)
 
 
 def _r_basis(blocks: tuple, n: int, gens: tuple, d: int) -> list:
@@ -646,12 +579,13 @@ def _r_basis(blocks: tuple, n: int, gens: tuple, d: int) -> list:
 class QuotientPresentation:
     """A block-invariant polynomial ring modulo a homogeneous ideal.
 
-    ``form`` ("e" or "h") labels the generator form of a standard
-    presentation and is None for custom lists.  Only the standard
-    factory sets ``_in_r``: its generators include e_1..e_n or h_1..h_n
-    of all variables, so its ideal contains Lambda+ and the degree
-    pieces are computed in R.  Every other generator list
-    uses the orbit-sum echelon of P_nu, which is right for any ideal.
+    The degree pieces are computed in R, which is right only when the
+    ideal contains Lambda+.  So the generators must include e_1..e_n or
+    h_1..h_n of all variables; any other list raises ValueError, after
+    the per-generator checks.  ``form`` ("e" or "h") labels the generator
+    form of a standard presentation and is None for other lists; it does
+    not change the computation.  ``top_degree`` (doubled grading) bounds
+    the dimension queries and is checked by the vanishing certificate.
     """
 
     def __init__(
@@ -663,13 +597,11 @@ class QuotientPresentation:
         form=None,
         top_degree=None,
         label: str = "",
-        _in_r: bool = False,
     ):
         self.nu = nu
         self.n = nu.n
         self.mu = mu
         self.form = form
-        self._in_r = _in_r
         # a zero generator generates nothing
         self.generators = [g for g in generators if not g.is_zero]
         self.label = label or f"quotient over {nu!r}"
@@ -679,7 +611,16 @@ class QuotientPresentation:
                 raise ValueError("generator has wrong variable count")
             if not g.is_homogeneous():
                 raise ValueError("generators must be homogeneous")
-            ensure_block_invariant(g, nu)
+            _orbit_terms(g, nu)
+        full = range(1, self.n + 1)
+        if not any(
+            all(sym(self.n, full, r) in self.generators for r in full)
+            for sym in (e_sym, h_sym)
+        ):
+            raise ValueError(
+                f"{self.label}: the generators must include e_1..e_n or "
+                "h_1..h_n of all variables, so that the ideal contains Lambda+"
+            )
         self.is_zero_algebra = any(
             g.constant() != 0 for g in self.generators
         )
@@ -689,7 +630,7 @@ class QuotientPresentation:
         self._window = max(nu.parts, default=0)
         self._cache: dict = {}
         # only the zero algebra and P_nu with no variables are finite
-        # without a certificate; an empty generator list is not
+        # without a certificate
         self._verified_above = self.is_zero_algebra or self.n == 0
 
     # -- degree bookkeeping (internal = exponent-sum degrees) ----------
@@ -714,8 +655,7 @@ class QuotientPresentation:
     def _degree_data(self, d: int) -> _DegreeData:
         data = self._cache.get(d)
         if data is None:
-            build = _r_slice if self._in_r else _slice
-            data = build(self._blocks, self.n, tuple(self.generators), d)
+            data = _r_slice(self._blocks, self.n, tuple(self.generators), d)
             self._cache[d] = data
         return data
 
@@ -902,23 +842,13 @@ class QuotientElement:
 # presentation factory
 
 
-def presentation(
-    nu: Composition,
-    mu=None,
-    *,
-    form: str = "e",
-    generators: Sequence[Poly] | None = None,
-    top_degree=None,
-) -> QuotientPresentation:
-    """Cached standard presentations; custom generator lists bypass the cache.
+def presentation(nu: Composition, mu=None, *, form: str = "e") -> QuotientPresentation:
+    """The cached standard presentation.
 
     With ``mu`` absent this is the plain partial coinvariant algebra;
     otherwise the shape-cut quotient with the chosen generator form.
+    Other generator lists go to ``QuotientPresentation`` directly.
     """
-    if generators is not None:
-        return QuotientPresentation(
-            nu, generators, top_degree=top_degree, label="custom"
-        )
     if mu is None:
         return _standard_presentation(nu, None, "")
     return _standard_presentation(nu, canonical_shape(mu), form)
@@ -933,7 +863,6 @@ def _standard_presentation(nu: Composition, mu_c, form: str):
             form="e",
             top_degree=coinvariant_top_degree(nu),
             label=f"coinvariants of {nu!r}",
-            _in_r=True,
         )
     if form == "h":
         gens = tanisaki_generators_h(mu_c, nu)
@@ -953,7 +882,6 @@ def _standard_presentation(nu: Composition, mu_c, form: str):
         form=form,
         top_degree=top,
         label=f"shape-cut quotient {lam.parts} over {nu!r}",
-        _in_r=True,
     )
 
 
@@ -963,7 +891,11 @@ def is_nonzero(mu, nu: Composition) -> bool:
 
 
 def ideals_equal(gens_a: Sequence[Poly], gens_b: Sequence[Poly], nu: Composition) -> bool:
-    """Mutual membership of two homogeneous generator lists."""
+    """Mutual membership of two homogeneous generator lists.
+
+    Both lists must contain Lambda+ (see ``QuotientPresentation``);
+    otherwise this raises ValueError.
+    """
     pres_a = QuotientPresentation(nu, gens_a, label="ideal A")
     pres_b = QuotientPresentation(nu, gens_b, label="ideal B")
     return all(pres_b.contains(g) for g in gens_a) and all(

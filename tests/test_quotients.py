@@ -37,6 +37,7 @@ from coinv.tableaux import IntPoly, count_column_strict, kostka
 
 from reference import (
     NotAntiInvariantError,
+    OrbitSumQuotient,
     antiinv_divide,
     eps_nu,
     is_fixed_by_block_group,
@@ -466,9 +467,23 @@ def test_zero_algebra_behaviour():
 
 
 def test_ideals_equal_rejects_proper_containment():
+    # x1 is invariant for singleton blocks and not in Lambda+
+    nu = comp(1, 1)
+    gens = coinvariant_generators(nu)
+    larger = gens + [Poly.var(2, 1)]
+    assert not ideals_equal(gens, larger, nu)
+    assert not ideals_equal(larger, gens, nu)
+    assert ideals_equal(larger, larger, nu)
     x1 = Poly.var(1, 1)
-    assert not ideals_equal([x1], [x1 * x1], comp(1))
     assert ideals_equal([x1], [x1], comp(1))
+
+
+def test_ideals_equal_refuses_a_list_without_lambda_plus():
+    # (x1^2) lacks e_1 = x1; the route in R would wrongly call the ideals equal
+    x1 = Poly.var(1, 1)
+    for a, b in (([x1], [x1 * x1]), ([x1 * x1], [x1])):
+        with pytest.raises(ValueError, match="Lambda\\+"):
+            ideals_equal(a, b, comp(1))
 
 
 def test_ideals_equal_e_h_generators():
@@ -496,9 +511,8 @@ def test_ideals_equal_tanisaki_forms_n3():
 def test_non_terminating_quotient_detected():
     nu = comp(1, 1)
     gens = [e_sym(2, [1, 2], 2)]  # x1*x2 alone leaves an infinite quotient
-    pres = presentation(nu, generators=gens, top_degree=2)
-    with pytest.raises(NonTerminatingError):
-        pres.dim()
+    with pytest.raises(ValueError, match="Lambda\\+"):
+        QuotientPresentation(nu, gens, top_degree=2)
 
 
 def test_non_terminating_custom_presentation_detected():
@@ -506,23 +520,30 @@ def test_non_terminating_custom_presentation_detected():
     # every slice up to the largest generator degree vanishes
     nu = comp(3)
     gens = [e_sym(3, [1, 2, 3], 1), e_sym(3, [1, 2, 3], 2)]
-    pres = presentation(nu, generators=gens, top_degree=0)
-    with pytest.raises(NonTerminatingError):
-        pres.dim()
-    assert not pres.contains(e_sym(3, [1, 2, 3], 3))
+    with pytest.raises(ValueError, match="Lambda\\+"):
+        QuotientPresentation(nu, gens, top_degree=0)
+    ref = OrbitSumQuotient(nu, gens)
+    assert ref.graded_dim(1) == ref.graded_dim(2) == 0
+    assert not ref.normal_form(e_sym(3, [1, 2, 3], 3)).is_zero
 
 
 def test_form_label_does_not_pick_the_route():
-    # e_1 alone leaves C[e_2]; a form label on a custom list must not send
-    # it to the route in R, which assumes all of e_1..e_n are generators
-    pres = QuotientPresentation(comp(2), [e_sym(2, [1, 2], 1)], form="e", top_degree=2)
-    with pytest.raises(NonTerminatingError):
-        pres.dim()
+    # e_1 alone leaves C[e_2]; a form label must not let it through
+    gens = [e_sym(2, [1, 2], 1)]
+    for form in ("e", None):
+        with pytest.raises(ValueError, match="Lambda\\+"):
+            QuotientPresentation(comp(2), gens, form=form, top_degree=2)
 
 
 def test_non_terminating_empty_generator_list_detected():
     # no generators leave all of C[e_1, e_2], which is infinite
-    pres = presentation(comp(2), generators=[], top_degree=0)
+    with pytest.raises(ValueError, match="Lambda\\+"):
+        QuotientPresentation(comp(2), [], top_degree=0)
+
+
+def test_vanishing_certificate_catches_a_low_top_degree():
+    nu = comp(1, 1)
+    pres = QuotientPresentation(nu, coinvariant_generators(nu), top_degree=0)
     with pytest.raises(NonTerminatingError):
         pres.dim()
 
@@ -542,15 +563,12 @@ def test_vanishing_window_covers_generator_degrees():
                 standard = presentation(nu, mu)
                 if standard.is_zero_algebra:
                     continue
-                # the certificate belongs to the orbit-sum route
-                pres = presentation(
-                    nu,
-                    generators=standard.generators,
-                    top_degree=standard.top_degree,
-                )
-                top = pres.top_degree // 2
+                # the certificate holds for any ideal, so check it on the
+                # orbit-sum reference, which does not need Lambda+
+                ref = OrbitSumQuotient(nu, standard.generators)
+                top = standard.top_degree // 2
                 for w in range(1, n + 1):
-                    assert not pres._degree_data(top + w).basis_cols, (nu, mu, w)
+                    assert not ref.graded_dim(top + w), (nu, mu, w)
                 checked += 1
     assert checked == 171
 
@@ -559,11 +577,20 @@ def test_zero_generator_is_ignored():
     nu = comp(1, 1)
     gens = coinvariant_generators(nu)
     padded = gens + [Poly.zero(2)]
-    pres = presentation(nu, generators=padded, top_degree=2)
+    pres = QuotientPresentation(nu, padded, top_degree=2)
+    assert pres.generators == gens
     assert pres.dim() == 2
     assert pres.contains(gens[0]) and not pres.contains(Poly.var(2, 1))
     assert ideals_equal(padded, gens, nu)
-    assert ideals_equal([Poly.zero(2)], [], nu)
+    ref = OrbitSumQuotient(nu, padded)
+    assert [ref.graded_dim(d) for d in range(4)] == [1, 1, 0, 0]
+    assert ref.normal_form(gens[0]).is_zero
+    assert not ref.normal_form(Poly.var(2, 1)).is_zero
+    # a zero generator adds nothing, so it cannot stand in for Lambda+
+    zero, empty = OrbitSumQuotient(nu, [Poly.zero(2)]), OrbitSumQuotient(nu, [])
+    assert all(zero.basis(d) == empty.basis(d) for d in range(4))
+    with pytest.raises(ValueError, match="Lambda\\+"):
+        ideals_equal([Poly.zero(2)], [], nu)
 
 
 def test_presentation_stores_sorted_shape():
@@ -577,11 +604,13 @@ def test_presentation_stores_sorted_shape():
 
 def test_custom_presentation_needs_bound_for_dim():
     x1 = Poly.var(1, 1)
-    pres = presentation(comp(1), generators=[x1 * x1])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="Lambda\\+"):
+        QuotientPresentation(comp(1), [x1 * x1])
+    pres = QuotientPresentation(comp(1), [x1])
+    with pytest.raises(ValueError, match="top_degree"):
         pres.dim()
     assert pres.contains(x1 * x1)
-    assert not pres.contains(x1)
+    assert not pres.contains(Poly.one(1))
 
 
 def test_antiinv_divide():
@@ -733,7 +762,6 @@ def test_standard_presentations_contain_lambda_plus():
         for nu, mu, form in standard_pairs(n):
             pres = presentation(nu, mu, form=form)
             gens = set(pres.generators)
-            assert pres._in_r
             assert e_all <= gens or h_all <= gens, (nu, mu, form)
             checked += 1
     assert checked == 2363
@@ -755,19 +783,24 @@ def assert_engines_agree(nu, mu, form, rng):
     pres = presentation(nu, mu, form=form)
     if pres.is_zero_algebra:
         return False
-    orbit = presentation(nu, generators=pres.generators, top_degree=pres.top_degree)
-    assert pres.hilbert() == orbit.hilbert(), (nu, mu, form)
-    for d in range(0, pres.top_degree + 1, 2):
-        got = [b.rep for b in pres.graded_basis(d)]
-        assert got == [b.rep for b in orbit.graded_basis(d)], (nu, mu, form, d)
+    ref = OrbitSumQuotient(nu, pres.generators)
+    top = pres.top_degree // 2
+    series = [0] * (2 * top + 1)
+    series[::2] = [ref.graded_dim(d) for d in range(top + 1)]
+    assert pres.hilbert() == IntPoly(series), (nu, mu, form)
+    assert not any(ref.graded_dim(top + w) for w in range(1, max(nu.parts) + 1))
+    for d in range(top + 1):
+        got = [b.rep for b in pres.graded_basis(2 * d)]
+        assert got == ref.basis(d), (nu, mu, form, d)
     for _ in range(3):
-        f = random_invariant(rng, nu, pres.top_degree // 2)
-        assert pres.normal_form(f).rep == orbit.normal_form(f).rep, (nu, mu, form)
+        f = random_invariant(rng, nu, top)
+        assert pres.normal_form(f).rep == ref.normal_form(f), (nu, mu, form)
     return True
 
 
 def test_r_route_matches_orbit_sum_route():
-    """Standard presentations (computed in R) against the orbit-sum echelon."""
+    """Standard presentations (computed in R) against the orbit-sum
+    echelon of tests/reference.py."""
     rng = random.Random(11)
     checked = sum(
         assert_engines_agree(nu, mu, form, rng)
@@ -775,10 +808,10 @@ def test_r_route_matches_orbit_sum_route():
         for nu, mu, form in standard_pairs(n)
     )
     assert checked == 293
-    # at n = 5 the orbit-sum route takes over 20 s on some h-form
+    # at n = 5 the orbit-sum reference takes about 20 s on some h-form
     # generator lists that reach above degree 2n (mu = 1^5 with
-    # nu = 2,1,1,1, or mu = 2,1,1,1 with nu = 1^5), so the sample is
-    # drawn from the non-zero pairs whose generators stay within 2n
+    # nu = 2,1,1,1), so the sample is drawn from the non-zero pairs
+    # whose generators stay within 2n
     def reference_is_quick(nu, mu, form):
         gens = presentation(nu, mu, form=form).generators
         return max(g.degree() for g in gens) <= 2 * nu.n
