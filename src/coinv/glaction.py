@@ -426,13 +426,31 @@ class WeightFamily:
     it defaults to the form of a given component, and plain quotients
     are always "e".  Families combine only when n, window, shape and
     form all agree.
+
+    ``_clean=True`` skips the checks, for results built from checked
+    families: the caller promises a canonical shape, a valid form and
+    weights of size n inside the window.  Zero components are still
+    dropped.
     """
 
     __slots__ = ("n", "window", "mu", "form", "components")
 
     def __init__(
-        self, n: int, window: tuple, mu=None, components=None, form=None
+        self,
+        n: int,
+        window: tuple,
+        mu=None,
+        components=None,
+        form=None,
+        *,
+        _clean: bool = False,
     ):
+        if _clean:
+            self.n, self.window, self.mu, self.form = n, window, mu, form
+            self.components = {
+                nu: z for nu, z in components.items() if not z.is_zero
+            }
+            return
         self.n = n
         self.window = (int(window[0]), int(window[1]))
         # the shape as presentation() stores it
@@ -489,14 +507,18 @@ class WeightFamily:
         for nu, z in other.components.items():
             cur = comps.get(nu)
             comps[nu] = z if cur is None else cur + z
-        return WeightFamily(self.n, self.window, self.mu, comps, self.form)
+        return WeightFamily(
+            self.n, self.window, self.mu, comps, self.form, _clean=True
+        )
 
     def __sub__(self, other: "WeightFamily") -> "WeightFamily":
         return self + (other * -1)
 
     def __mul__(self, scalar) -> "WeightFamily":
         comps = {nu: z * scalar for nu, z in self.components.items()}
-        return WeightFamily(self.n, self.window, self.mu, comps, self.form)
+        return WeightFamily(
+            self.n, self.window, self.mu, comps, self.form, _clean=True
+        )
 
     __rmul__ = __mul__
 
@@ -532,7 +554,9 @@ class WeightFamily:
                 )
             cur = out.get(target_nu)
             out[target_nu] = image if cur is None else cur + image
-        return WeightFamily(self.n, self.window, self.mu, out, self.form)
+        return WeightFamily(
+            self.n, self.window, self.mu, out, self.form, _clean=True
+        )
 
     def to_json(self) -> list:
         out = []
@@ -652,7 +676,14 @@ def relation_report(n: int, window: tuple, mu=None) -> Report:
 
 
 def ideal_invariance_check(mu, window: tuple) -> Report:
-    """Operators map each cut ideal into the neighbouring cut ideal."""
+    """Operators map each cut ideal into the neighbouring cut ideal.
+
+    Each composition of the window is the source of the lowering steps
+    off it and of the raising steps off it.  Its h-form generators times
+    the orbit sums of degree up to its top generator degree minus theirs
+    are built once and pushed through every such step; they are dropped
+    before the next composition, so memory stays that of one source.
+    """
     mu_c = canonical_shape(mu)
     n = sum(mu_c.parts)
     report = Report(
@@ -660,27 +691,31 @@ def ideal_invariance_check(mu, window: tuple) -> Report:
     )
     lo, hi = window
     ok = [True, True]
-    for nu in compositions_of(n, window):
+    for base in compositions_of(n, window):
+        cap = max(
+            (g.degree() // 2 for g in presentation(base, mu_c).generators),
+            default=0,
+        )
+        blocks = _blocks_of(base)
+        multiples = [
+            g * _orbit_poly(blocks, n, mexp)
+            for g in tanisaki_generators_h(mu_c, base)
+            for extra in range(0, cap - g.degree() // 2 + 1)
+            for mexp in _canonical_exps(blocks, n, extra)
+        ]
         for i in range(lo, hi):
-            if nu[i] == 0:
-                continue
-            ks = KeySituation(i, nu)
-            halves = (
-                (ks.side("nu"), apply_F_poly),
-                (ks.side("nu_prime"), apply_E_poly),
-            )
-            for half, (side, op) in enumerate(halves):
-                src = presentation(side.base, mu_c)
-                dst = presentation(side.other, mu_c)
-                cap = max((g.degree() // 2 for g in src.generators), default=0)
-                blocks = _blocks_of(side.base)
-                for g in tanisaki_generators_h(mu_c, side.base):
-                    gd = g.degree() // 2
-                    for extra in range(0, cap - gd + 1):
-                        for mexp in _canonical_exps(blocks, n, extra):
-                            cof = _orbit_poly(blocks, n, mexp)
-                            if not dst.contains(op(ks, g * cof)):
-                                ok[half] = False
+            steps = []
+            if base[i] > 0:
+                ks = KeySituation(i, base)
+                steps.append((0, ks, ks.nu_prime, apply_F_poly))
+            if base[i + 1] > 0:
+                ks = KeySituation(i, base.raise_at(i))
+                steps.append((1, ks, ks.nu, apply_E_poly))
+            for half, ks, target, op in steps:
+                dst = presentation(target, mu_c)
+                for prod in multiples:
+                    if not dst.contains(op(ks, prod)):
+                        ok[half] = False
     report.add("lowering_preserves_cut_ideals", ok[0])
     report.add("raising_preserves_cut_ideals", ok[1])
     return report

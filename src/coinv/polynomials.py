@@ -66,9 +66,11 @@ class Poly:
 
     ``_clean=True`` skips validation: the caller promises valid exponents
     and non-zero coefficients that already follow the coefficient rule.
+    The hash is computed on first use and kept in the ``_hash`` slot, so
+    a memo keyed on a polynomial builds its frozenset of terms once.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "terms", "_hash")
 
     def __init__(self, n: int, terms: dict | None = None, *, _clean: bool = False):
         object.__setattr__(self, "n", int(n))
@@ -245,7 +247,12 @@ class Poly:
         return self.n == other.n and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.n, frozenset(self.terms.items())))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     # ------------------------------------------------------------------
     # presentation

@@ -77,16 +77,22 @@ def _blocks_of(nu: Composition) -> tuple:
     return tuple(out)
 
 
-def _canonical_exp(exp: tuple, blocks: tuple) -> tuple:
+# One operator-calculus pass makes 19 159 lookups on 529 distinct pairs;
+# ``verify --suite all --n 4`` makes 665 878 on 3 999, which 4 096 entries
+# hold, while 1 024 entries miss 12 067 of its repeats.
+@lru_cache(maxsize=4096)
+def _canonical(exp: tuple, blocks: tuple) -> tuple:
+    """(canonical exponent, orbit size) of exp under the block subgroup.
+
+    The canonical exponent sorts each block's segment decreasingly; the
+    orbit size is 0 unless exp is itself canonical.
+    """
     out = list(exp)
     for start, stop in blocks:
-        seg = sorted(out[start:stop], reverse=True)
-        out[start:stop] = seg
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _orbit_size(exp: tuple, blocks: tuple) -> int:
+        out[start:stop] = sorted(out[start:stop], reverse=True)
+    canon = tuple(out)
+    if canon != exp:
+        return canon, 0
     total = 1
     for start, stop in blocks:
         seg = exp[start:stop]
@@ -94,7 +100,7 @@ def _orbit_size(exp: tuple, blocks: tuple) -> int:
         for v in set(seg):
             count //= math.factorial(seg.count(v))
         total *= count
-    return total
+    return exp, total
 
 
 @lru_cache(maxsize=None)
@@ -179,12 +185,12 @@ def _orbit_terms(f: Poly, nu: Composition) -> dict:
     canon_terms = {}
     count = 0
     for exp, c in terms.items():
-        canon = _canonical_exp(exp, blocks)
+        canon, size = _canonical(exp, blocks)
         if terms.get(canon) != c:
             break
-        if canon == exp:
+        if size:
             canon_terms[exp] = c
-            count += _orbit_size(exp, blocks)
+            count += size
     else:
         if count == len(terms):
             return canon_terms
@@ -734,37 +740,10 @@ class QuotientPresentation:
     def normal_form(self, f: Poly) -> "QuotientElement":
         """The canonical representative of f in the quotient.
 
-        One pass over f's terms checks block invariance (raising
-        NotInvariantError) and reads f's orbit-sum coordinates, its
-        canonical terms; those are grouped by degree and reduced there.
+        The representative comes from ``_normal_form_rep``, a bounded
+        memo; a hit is wrapped in a new element of this presentation.
         """
-        if f.n != self.n:
-            raise ValueError("wrong variable count")
-        canon_terms = _orbit_terms(f, self.nu)
-        if self.is_zero_algebra:
-            return QuotientElement(self, Poly.zero(self.n))
-        by_degree: dict = {}
-        for exp, c in canon_terms.items():
-            by_degree.setdefault(sum(exp), []).append((exp, c))
-        # beyond the verified window every component reduces to zero;
-        # without a degree bound just work at the component's own degree
-        cutoff = None if self._top is None else self._top_int() + self._window
-        acc: dict = {}
-        for di, coords in sorted(by_degree.items()):
-            if cutoff is not None and di > cutoff:
-                self._verify_vanishing()
-                continue
-            data = self._degree_data(di)
-            if not data.basis_cols:
-                continue
-            col_of = data.col_of
-            vec = sorted((col_of[exp], c) for exp, c in coords)
-            for col, coef in data.reduce(vec):
-                orbit = _orbit_poly(self._blocks, self.n, data.exps[col])
-                for exp, c in orbit.terms.items():
-                    acc[exp] = acc.get(exp, 0) + coef * c
-        rep = Poly(self.n, _coefs(acc), _clean=True)
-        return QuotientElement(self, rep)
+        return QuotientElement(self, _normal_form_rep(self, f))
 
     def contains(self, f: Poly) -> bool:
         """Ideal membership."""
@@ -778,6 +757,50 @@ class QuotientPresentation:
 
     def __repr__(self) -> str:
         return f"QuotientPresentation({self.label})"
+
+
+# The operator checks reduce the same polynomial in the same presentation
+# again and again: both routes of an operator build equal images, and
+# relation sweeps revisit each image.  One operator-calculus pass makes
+# 6 435 calls on 2 166 distinct pairs; of its 4 269 repeats an LRU of 256
+# entries catches 4 160, one of 64 entries 3 575.  An input that raises
+# is not cached.
+@lru_cache(maxsize=256)
+def _normal_form_rep(pres: QuotientPresentation, f: Poly) -> Poly:
+    """The canonical representative of f in pres, as a polynomial.
+
+    One pass over f's terms checks block invariance (raising
+    NotInvariantError) and reads f's orbit-sum coordinates, its
+    canonical terms; those are grouped by degree and reduced there.
+    The key is the presentation itself, compared by identity, so two
+    presentations over one composition never share an entry.
+    """
+    if f.n != pres.n:
+        raise ValueError("wrong variable count")
+    canon_terms = _orbit_terms(f, pres.nu)
+    if pres.is_zero_algebra:
+        return Poly.zero(pres.n)
+    by_degree: dict = {}
+    for exp, c in canon_terms.items():
+        by_degree.setdefault(sum(exp), []).append((exp, c))
+    # beyond the verified window every component reduces to zero;
+    # without a degree bound just work at the component's own degree
+    cutoff = None if pres._top is None else pres._top_int() + pres._window
+    acc: dict = {}
+    for di, coords in sorted(by_degree.items()):
+        if cutoff is not None and di > cutoff:
+            pres._verify_vanishing()
+            continue
+        data = pres._degree_data(di)
+        if not data.basis_cols:
+            continue
+        col_of = data.col_of
+        vec = sorted((col_of[exp], c) for exp, c in coords)
+        for col, coef in data.reduce(vec):
+            orbit = _orbit_poly(pres._blocks, pres.n, data.exps[col])
+            for exp, c in orbit.terms.items():
+                acc[exp] = acc.get(exp, 0) + coef * c
+    return Poly(pres.n, _coefs(acc), _clean=True)
 
 
 class QuotientElement:

@@ -4,6 +4,7 @@ from functools import reduce
 import pytest
 
 from coinv.errors import NoSolutionError, NotInvariantError, WindowOverflowError
+import coinv.glaction as glaction
 from coinv.glaction import (
     KeySituation,
     WeightFamily,
@@ -460,6 +461,35 @@ def test_family_linear_algebra():
     assert wf != WeightFamily.unit(comp(1, 1), (1, 2))
 
 
+def test_family_results_match_the_checked_constructor():
+    """Results of apply, +, - and * skip the constructor's checks; each
+    equals the family rebuilt through them, zero components dropped."""
+    window = (1, 3)
+    mu = comp(2, 1)
+    base = WeightFamily.unit(comp(2, 1), window, mu, form="h")
+    other = WeightFamily.unit(comp(1, 2), window, mu, form="h")
+    lowered = base.apply("F", 1)
+    results = [
+        lowered,
+        base.apply("E", 1),
+        base.apply("F", 2),
+        lowered.apply("E", 1),
+        base + other,
+        base + lowered,
+        lowered - lowered,
+        base - other,
+        base * 3,
+        base * 0,
+        3 * lowered,
+        WeightFamily.unit(comp(2), (1, 2)).apply("D", 1),
+    ]
+    assert any(r.is_zero for r in results)
+    assert any(len(r.components) > 1 for r in results)
+    for r in results:
+        # equality compares n, window, shape, form and the components
+        assert r == WeightFamily(r.n, r.window, r.mu, r.components, r.form)
+
+
 def test_family_apply_moves_weight():
     w1 = WeightFamily.unit(comp(2), (1, 2))
     out = w1.apply("F", 1)
@@ -625,6 +655,29 @@ def test_ideal_invariance_small():
     for mu in partitions_of(3):
         rep = ideal_invariance_check(Composition(1, list(mu.parts)), (1, 3))
         assert rep.passed
+
+
+@pytest.mark.parametrize(
+    "op, broken",
+    [
+        ("apply_F_poly", "lowering_preserves_cut_ideals"),
+        ("apply_E_poly", "raising_preserves_cut_ideals"),
+    ],
+)
+def test_ideal_invariance_check_can_fail(monkeypatch, op, broken):
+    true_op = getattr(glaction, op)
+
+    def shifted(ks, f):
+        # the constant 1 lies in no cut ideal of a non-zero quotient
+        return true_op(ks, f) + Poly.one(ks.n)
+
+    monkeypatch.setattr(glaction, op, shifted)
+    rep = ideal_invariance_check(comp(2, 1), (1, 3))
+    results = {c.name: c.passed for c in rep.checks}
+    assert results == {
+        "lowering_preserves_cut_ideals": broken != "lowering_preserves_cut_ideals",
+        "raising_preserves_cut_ideals": broken != "raising_preserves_cut_ideals",
+    }
 
 
 def test_weight_dim_report_small():

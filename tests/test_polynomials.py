@@ -489,6 +489,25 @@ def test_int_and_q_spellings_agree(f):
     assert raw == f and hash(raw) == hash(f)
 
 
+def test_cached_hash_is_stable_and_follows_the_terms():
+    f = Poly(3, {(1, 0, 2): 3, (0, 1, 0): Q(-1, 2), (0, 0, 0): 1})
+    first = hash(f)
+    assert hash(f) == first
+    assert first == hash((3, frozenset(f.terms.items())))
+    # the same polynomial built in another term order, and with Q(3)
+    # where f has 3, hashes equal
+    g = Poly(3, {(0, 0, 0): 1, (0, 1, 0): Q(-1, 2), (1, 0, 2): Q(3)})
+    assert list(g.terms) != list(f.terms)
+    assert g == f and hash(g) == first
+    h = Poly(3, {(0, 1, 0): Q(-1, 2)}) + Poly.const(3, 1) + Poly.monomial(
+        3, (1, 0, 2), 3
+    )
+    assert h == f and hash(h) == first
+    # a polynomial used as a key before and after its hash is cached
+    memo = {g: "g"}
+    assert memo[f] == memo[h] == "g"
+
+
 @PROPERTY
 @given(POLYS, POLYS, st.integers(1, 6), st.integers(1, N - 1), st.sampled_from([(2, 1), (1, 2), (3,)]))
 def test_no_float_coefficients(f, g, k, j, parts):

@@ -13,6 +13,7 @@ from coinv.quotients import (
     _canonical_exps,
     _blocks_of,
     _nf_monomial,
+    _normal_form_rep,
     _orbit_poly,
     _orbit_terms,
     _r_dims,
@@ -211,6 +212,48 @@ def test_normal_form_rejects_non_invariant():
     p = presentation(comp(2))
     with pytest.raises(NotInvariantError):
         p.normal_form(Poly.var(2, 1))
+
+
+def test_normal_form_memo_caches_no_error():
+    p = presentation(comp(2))
+    before = _normal_form_rep.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(NotInvariantError):
+            p.normal_form(Poly.var(2, 1))
+        with pytest.raises(ValueError, match="wrong variable count"):
+            p.normal_form(Poly.var(3, 1))
+    assert _normal_form_rep.cache_info().currsize == before
+
+
+def test_normal_form_memo_hit_belongs_to_the_caller():
+    nu = comp(1, 1)
+    x1, x2 = Poly.var(2, 1), Poly.var(2, 2)
+    f = x2 * x2 + x1
+    p = presentation(nu)
+    first = p.normal_form(f)
+    hits = _normal_form_rep.cache_info().hits
+    again = p.normal_form(f)
+    assert _normal_form_rep.cache_info().hits == hits + 1
+    assert again.pres is p and again == first and again is not first
+    # a second presentation with the same generators is its own key
+    twin = QuotientPresentation(nu, coinvariant_generators(nu))
+    assert twin.normal_form(f).pres is twin
+    assert twin.normal_form(f).rep == first.rep
+
+
+def test_normal_form_memo_keeps_presentations_over_one_nu_apart():
+    nu = comp(1, 1)
+    x1 = Poly.var(2, 1)
+    plain = QuotientPresentation(nu, coinvariant_generators(nu))
+    cut = QuotientPresentation(nu, coinvariant_generators(nu) + [x1])
+    f = x1 * 3 + Poly.one(2)
+    # x1 lies in the second ideal only
+    expected = {plain: f, cut: Poly.one(2)}
+    for first, second in ((plain, cut), (cut, plain)):
+        _normal_form_rep.cache_clear()
+        assert first.normal_form(f).rep == expected[first]
+        got = second.normal_form(f)
+        assert got.pres is second and got.rep == expected[second]
 
 
 def test_constructor_rejects_non_invariant_generator():
