@@ -42,7 +42,6 @@ from .reporting import Report
 from .shapes import (
     Composition,
     Partition,
-    canonical_shape,
     compositions_of,
     partitions_of,
     quotient_top_degree,
@@ -69,10 +68,10 @@ SUITE_NMAX = 5
 # Fraction backend on 2 cores: the default window at n = 5 holds 126,
 # and "--suite all --n 3" takes 11 s on 56 and 120 s on 220.  At n = 5
 # on the default window each suite alone took: identities 2.6 s,
-# ideals-equal 29 s, dims 0.4 s, relations 30 s (186 MB), ideal-invariance
-# 126 s, weights 0.4 s, hilbert 0.6 s; "all" took 214 s.  A later run,
-# on a host about 2.3x slower, measured traces at 30 s and 25 MB and
-# "all" at 442 s and 220 MB.
+# ideals-equal 29 s, dims 0.4 s, relations 41-46 s (51-54 MB),
+# ideal-invariance 108 s (31 MB), weights 0.4 s, hilbert 0.6 s; "all"
+# took 214 s.  A later run, on a host about 2.3x slower, measured traces
+# at 30 s and 25 MB and "all" at 442 s and 220 MB.
 VERIFY_COMPOSITION_LIMIT = 250
 
 SUITES = (
@@ -177,11 +176,6 @@ def emit(args, lines, data) -> None:
     else:
         for line in lines:
             print(line)
-
-
-def _shapes(n: int):
-    for mu in partitions_of(n):
-        yield canonical_shape(mu)
 
 
 # ----------------------------------------------------------------------
@@ -413,13 +407,16 @@ def _suite_ideals_equal(n: int, window: tuple) -> list:
     report = Report(f"h-form vs e-form generators, n={n}")
     ok = True
     bad = ""
-    for mu in _shapes(n):
+    for mu in partitions_of(n):
         for nu in compositions_of(n, window):
             gh = tanisaki_generators_h(mu, nu)
             ge = tanisaki_generators_e(mu, nu)
             if not ideals_equal(gh, ge, nu):
                 ok = False
-                bad = bad or f"mu={format_composition(mu)} nu={format_composition(nu)}"
+                bad = bad or (
+                    f"mu={format_composition(Composition(1, mu))} "
+                    f"nu={format_composition(nu)}"
+                )
     report.add("generator_forms_define_equal_ideals", ok, bad)
     return [report]
 
@@ -444,7 +441,7 @@ def _suite_dims(n: int, window: tuple, form: str) -> list:
     report.add("coinvariant_hilbert_series_is_palindromic", ok_sym)
 
     ok_count = ok_van = ok_top = True
-    for mu in _shapes(n):
+    for mu in partitions_of(n):
         lam = transpose(mu)
         for nu in compositions_of(n, window):
             pres = presentation(nu, mu, form=form)
@@ -468,29 +465,32 @@ def _suite_dims(n: int, window: tuple, form: str) -> list:
 
 def _suite_relations(n: int, window: tuple) -> list:
     out = [relation_report(n, window)]
-    out.extend(relation_report(n, window, mu) for mu in _shapes(n))
+    out.extend(relation_report(n, window, mu) for mu in partitions_of(n))
     return out
 
 
 def _suite_ideal_invariance(n: int, window: tuple) -> list:
-    return [ideal_invariance_check(mu, window) for mu in _shapes(n)]
+    return [ideal_invariance_check(mu, window) for mu in partitions_of(n)]
 
 
 def _suite_weights(n: int, window: tuple) -> list:
-    return [weight_dim_report(mu, window) for mu in _shapes(n)]
+    return [weight_dim_report(mu, window) for mu in partitions_of(n)]
 
 
 def _suite_hilbert(n: int, window: tuple) -> list:
     report = Report(f"graded character identity, n={n}")
     ok = True
     bad = ""
-    for mu in _shapes(n):
+    for mu in partitions_of(n):
         for nu in compositions_of(n, window):
             if not is_nonzero(mu, nu):
                 continue
             if not hilbert_identity_check(mu, nu):
                 ok = False
-                bad = bad or f"mu={format_composition(mu)} nu={format_composition(nu)}"
+                bad = bad or (
+                    f"mu={format_composition(Composition(1, mu))} "
+                    f"nu={format_composition(nu)}"
+                )
     report.add("hilbert_series_matches_charge_generating_function", ok, bad)
     return [report]
 
@@ -505,7 +505,7 @@ def _center_table(n_max_val: int, form: str) -> tuple:
     ok = True
     for n in range(1, n_max_val + 1):
         window = (1, n)
-        for mu in _shapes(n):
+        for mu in partitions_of(n):
             lam = transpose(mu)
             for nu in compositions_of(n, window):
                 d = presentation(nu, mu, form=form).dim()

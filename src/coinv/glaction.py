@@ -54,10 +54,10 @@ from .quotients import (
 from .reporting import Report
 from .shapes import (
     Composition,
-    canonical_shape,
     compositions_of,
     partitions_of,
     quotient_top_degree,
+    sort_to_partition,
     transpose,
 )
 from .tableaux import count_column_strict, kostka, kostka_foulkes
@@ -428,7 +428,7 @@ class WeightFamily:
     form all agree.
 
     ``_clean=True`` skips the checks, for results built from checked
-    families: the caller promises a canonical shape, a valid form and
+    families: the caller promises a Partition shape, a valid form and
     weights of size n inside the window.  Zero components are still
     dropped.
     """
@@ -454,7 +454,7 @@ class WeightFamily:
         self.n = n
         self.window = (int(window[0]), int(window[1]))
         # the shape as presentation() stores it
-        self.mu = None if mu is None else canonical_shape(mu)
+        self.mu = None if mu is None else sort_to_partition(mu)
         if self.mu is None:
             form = "e"
         elif form is None:
@@ -613,8 +613,8 @@ def relation_report(n: int, window: tuple, mu=None) -> Report:
     """Commutation and Serre relations on every basis vector in range."""
     title = f"gl relations, n={n}, window={window}"
     if mu is not None:
-        mu = canonical_shape(mu)
-        title += f", shape {tuple(mu.parts)}"
+        mu = sort_to_partition(mu)
+        title += f", shape {mu.parts}"
     report = Report(title)
     lo, hi = window
     move_idx = range(lo, hi)  # E_i/F_i use the pair (i, i+1)
@@ -684,22 +684,20 @@ def ideal_invariance_check(mu, window: tuple) -> Report:
     are built once and pushed through every such step; they are dropped
     before the next composition, so memory stays that of one source.
     """
-    mu_c = canonical_shape(mu)
-    n = sum(mu_c.parts)
-    report = Report(
-        f"ideal invariance, shape {tuple(mu_c.parts)}, window {window}"
-    )
+    mu = sort_to_partition(mu)
+    n = mu.n
+    report = Report(f"ideal invariance, shape {mu.parts}, window {window}")
     lo, hi = window
     ok = [True, True]
     for base in compositions_of(n, window):
         cap = max(
-            (g.degree() // 2 for g in presentation(base, mu_c).generators),
+            (g.degree() // 2 for g in presentation(base, mu).generators),
             default=0,
         )
         blocks = _blocks_of(base)
         multiples = [
             g * _orbit_poly(blocks, n, mexp)
-            for g in tanisaki_generators_h(mu_c, base)
+            for g in tanisaki_generators_h(mu, base)
             for extra in range(0, cap - g.degree() // 2 + 1)
             for mexp in _canonical_exps(blocks, n, extra)
         ]
@@ -712,7 +710,7 @@ def ideal_invariance_check(mu, window: tuple) -> Report:
                 ks = KeySituation(i, base.raise_at(i))
                 steps.append((1, ks, ks.nu, apply_E_poly))
             for half, ks, target, op in steps:
-                dst = presentation(target, mu_c)
+                dst = presentation(target, mu)
                 for prod in multiples:
                     if not dst.contains(op(ks, prod)):
                         ok[half] = False
@@ -723,15 +721,13 @@ def ideal_invariance_check(mu, window: tuple) -> Report:
 
 def weight_dim_report(mu, window: tuple) -> Report:
     """Weight space dimensions against tableau counts."""
-    mu_c = canonical_shape(mu)
-    n = sum(mu_c.parts)
-    lam = transpose(mu_c)
-    report = Report(
-        f"weight dimensions, shape {tuple(mu_c.parts)}, window {window}"
-    )
+    mu = sort_to_partition(mu)
+    n = mu.n
+    lam = transpose(mu)
+    report = Report(f"weight dimensions, shape {mu.parts}, window {window}")
     ok_dim = ok_top = True
     for nu in compositions_of(n, window):
-        pres = presentation(nu, mu_c)
+        pres = presentation(nu, mu)
         d = pres.dim()
         if d != count_column_strict(lam, nu):
             ok_dim = False
@@ -739,7 +735,7 @@ def weight_dim_report(mu, window: tuple) -> Report:
             h = pres.hilbert()
             if h.coeffs[-1] != kostka(lam, nu):
                 ok_top = False
-            if len(h.coeffs) - 1 != quotient_top_degree(nu, mu_c):
+            if len(h.coeffs) - 1 != quotient_top_degree(nu, mu):
                 ok_top = False
     report.add("dimensions_match_column_strict_counts", ok_dim)
     report.add("top_graded_piece_matches_kostka", ok_top)
@@ -754,17 +750,17 @@ def hilbert_identity_check(mu, nu: Composition) -> bool:
     (number of column-strict kappa-tableaux of content nu) times the
     charge polynomial of tau over mu evaluated at t^(-2).
     """
-    mu_c = canonical_shape(mu)
-    pres = presentation(nu, mu_c)
+    mu = sort_to_partition(mu)
+    pres = presentation(nu, mu)
     left = pres.hilbert()
-    top = quotient_top_degree(nu, mu_c)
+    top = quotient_top_degree(nu, mu)
     right = [0] * (top + 1)
     for tau in partitions_of(nu.n):
         kappa = tau.transpose()
         mult = kostka(kappa, nu)
         if mult == 0:
             continue
-        charge_poly = kostka_foulkes(tau, mu_c)
+        charge_poly = kostka_foulkes(tau, mu)
         for j, c in enumerate(charge_poly.coeffs):
             if c == 0:
                 continue

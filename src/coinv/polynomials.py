@@ -6,8 +6,8 @@ degree two, so every externally reported degree is twice the exponent
 sum; internal bookkeeping uses plain exponent sums throughout.
 
 Coefficient rule: a coefficient is a Python int when it is integral and
-a Q (``fractions.Fraction``, or ``gmpy2.mpq`` when installed) only when
-it is genuinely fractional.  ``_coef`` states the rule once; every
+a Q (``fractions.Fraction``, the only rational type) only when it is
+genuinely fractional.  ``_coef`` states the rule once; every
 constructor and every operation that can turn a fraction integral goes
 through it, and every division goes through Q, so no float can appear.
 Q(3) == 3 with equal hashes, so the rule changes no comparison; it only
@@ -23,16 +23,12 @@ from __future__ import annotations
 import itertools
 import operator
 import re
+from fractions import Fraction as Q
 from functools import lru_cache, partial
 from typing import Iterable, Sequence
 
 from .reporting import Report
 from .shapes import Composition
-
-try:
-    from gmpy2 import mpq as Q
-except ImportError:  # gmpy2 is the optional "fast" extra
-    from fractions import Fraction as Q
 
 QONE = Q(1)
 
@@ -42,7 +38,7 @@ def _coef(c):
     if type(c) is int:
         return c
     c = Q(c)
-    return int(c.numerator) if c.denominator == 1 else c
+    return c.numerator if c.denominator == 1 else c
 
 
 def _all_int(terms: dict) -> bool:
@@ -141,13 +137,6 @@ class Poly:
     def is_homogeneous(self) -> bool:
         degs = {sum(e) for e in self.terms}
         return len(degs) <= 1
-
-    def homogeneous_components(self) -> dict:
-        """Split by internal degree (exponent sum)."""
-        out: dict = {}
-        for e, c in self.terms.items():
-            out.setdefault(sum(e), {})[e] = c
-        return {d: Poly(self.n, t, _clean=True) for d, t in sorted(out.items())}
 
     def constant(self):
         return self.terms.get((0,) * self.n, 0)

@@ -52,10 +52,10 @@ from .polynomials import (
 from .reporting import Report
 from .shapes import (
     Composition,
-    canonical_shape,
     coinvariant_top_degree,
     dominates,
     quotient_top_degree,
+    sort_to_partition,
     transpose,
 )
 from .tableaux import IntPoly
@@ -441,6 +441,11 @@ def _times_var(n: int, row: list, j: int) -> list:
     return sorted((k, v) for k, v in acc.items() if v != 0)
 
 
+# _r_ideal and _r_slice stay unbounded although their keys hold tuples of
+# Poly (the generators): they keep one entry per (block layout, generator
+# list, degree), so they grow with the presentations built, not with the
+# polynomials reduced.  After ``verify --suite all --n 4`` _r_ideal holds
+# 191 entries and _r_slice 308.
 @lru_cache(maxsize=None)
 def _r_ideal(n: int, gens: tuple, d: int) -> _Echelon:
     """Echelon of (JR)_d, the degree-d part of the ideal of R that gens generate.
@@ -515,6 +520,7 @@ class _DegreeData:
 _EMPTY_DEGREE = _DegreeData((), 0, (), None, (), ())
 
 
+# unbounded for the reason given above _r_ideal
 @lru_cache(maxsize=None)
 def _r_slice(blocks: tuple, n: int, gens: tuple, d: int) -> _DegreeData:
     """Degree d of P_nu / J computed inside R, for J containing Lambda+.
@@ -588,9 +594,10 @@ class QuotientPresentation:
     The degree pieces are computed in R, which is right only when the
     ideal contains Lambda+.  So the generators must include e_1..e_n or
     h_1..h_n of all variables; any other list raises ValueError, after
-    the per-generator checks.  ``form`` ("e" or "h") labels the generator
-    form of a standard presentation and is None for other lists; it does
-    not change the computation.  ``top_degree`` (doubled grading) bounds
+    the per-generator checks.  ``mu``, the shape of a standard
+    presentation, is kept as a Partition.  ``form`` ("e" or "h") labels
+    the generator form of a standard presentation and is None for other
+    lists; it does not change the computation.  ``top_degree`` (doubled grading) bounds
     the dimension queries and is checked by the vanishing certificate.
     """
 
@@ -606,7 +613,7 @@ class QuotientPresentation:
     ):
         self.nu = nu
         self.n = nu.n
-        self.mu = mu
+        self.mu = None if mu is None else sort_to_partition(mu)
         self.form = form
         # a zero generator generates nothing
         self.generators = [g for g in generators if not g.is_zero]
@@ -874,12 +881,12 @@ def presentation(nu: Composition, mu=None, *, form: str = "e") -> QuotientPresen
     """
     if mu is None:
         return _standard_presentation(nu, None, "")
-    return _standard_presentation(nu, canonical_shape(mu), form)
+    return _standard_presentation(nu, sort_to_partition(mu), form)
 
 
 @lru_cache(maxsize=None)
-def _standard_presentation(nu: Composition, mu_c, form: str):
-    if mu_c is None:
+def _standard_presentation(nu: Composition, mu, form: str):
+    if mu is None:
         return QuotientPresentation(
             nu,
             coinvariant_generators(nu),
@@ -888,29 +895,26 @@ def _standard_presentation(nu: Composition, mu_c, form: str):
             label=f"coinvariants of {nu!r}",
         )
     if form == "h":
-        gens = tanisaki_generators_h(mu_c, nu)
+        gens = tanisaki_generators_h(mu, nu)
     elif form == "e":
-        gens = tanisaki_generators_e(mu_c, nu)
+        gens = tanisaki_generators_e(mu, nu)
     else:
         raise ValueError(f"unknown form {form!r}")
-    lam = transpose(mu_c)
-    if dominates(lam, nu.sorted_partition()):
-        top = quotient_top_degree(nu, mu_c)
-    else:
-        top = None  # zero algebra; generators contain a constant
+    # None: zero algebra, whose generators contain a constant
+    top = quotient_top_degree(nu, mu) if is_nonzero(mu, nu) else None
     return QuotientPresentation(
         nu,
         gens,
-        mu=mu_c,
+        mu=mu,
         form=form,
         top_degree=top,
-        label=f"shape-cut quotient {lam.parts} over {nu!r}",
+        label=f"shape-cut quotient {transpose(mu).parts} over {nu!r}",
     )
 
 
 def is_nonzero(mu, nu: Composition) -> bool:
     """Whether the shape-cut quotient is non-trivial (dominance test)."""
-    return dominates(transpose(mu), nu.sorted_partition())
+    return dominates(transpose(mu), sort_to_partition(nu))
 
 
 def ideals_equal(gens_a: Sequence[Poly], gens_b: Sequence[Poly], nu: Composition) -> bool:

@@ -89,10 +89,6 @@ class Composition:
         stop = self.partial_sum(i)
         return range(stop - self[i] + 1, stop + 1)
 
-    def sorted_partition(self) -> "Partition":
-        """Positive parts rearranged into weakly decreasing order."""
-        return Partition(sorted((p for p in self.parts if p > 0), reverse=True))
-
     def lower_at(self, i: int) -> "Composition":
         """Move one unit from index ``i`` to ``i + 1``."""
         if self[i] == 0:
@@ -157,12 +153,6 @@ class Partition:
     def __setattr__(self, name, value):
         raise AttributeError("Partition is immutable")
 
-    def part(self, j: int) -> int:
-        """The ``j``-th part, 1-indexed; zero beyond the length."""
-        if 1 <= j <= len(self.parts):
-            return self.parts[j - 1]
-        return 0
-
     def head_sum(self, m: int) -> int:
         """Sum of the first ``m`` parts."""
         return sum(self.parts[:m])
@@ -209,23 +199,15 @@ def transpose(parts: Iterable[int]) -> Partition:
 
 
 def sort_to_partition(parts: Iterable[int]) -> Partition:
-    return Partition(sorted((p for p in parts if p > 0), reverse=True))
+    """The shape of any iterable of parts: positive parts sorted decreasing.
 
-
-def canonical_shape(mu: Iterable[int]) -> Composition:
-    """The shape mu as a composition from index 1, parts sorted decreasing.
-
-    Accepts any iterable of parts (list, tuple, Partition, Composition);
-    zero parts are dropped, so every spelling of one shape gives one key.
-    An already canonical Composition is returned unchanged.
+    Accepts a list, tuple, Composition (at any offset) or Partition, so
+    every spelling of one shape gives one key; a Partition is returned
+    unchanged.
     """
-    if (
-        isinstance(mu, Composition)
-        and mu.lo == 1
-        and all(a >= b for a, b in zip(mu.parts, mu.parts[1:]))
-    ):
-        return mu
-    return Composition(1, sort_to_partition(mu).parts)
+    if isinstance(parts, Partition):
+        return parts
+    return Partition(sorted((p for p in parts if p > 0), reverse=True))
 
 
 def dominates(lam: Sequence[int], mu: Sequence[int]) -> bool:
@@ -257,7 +239,7 @@ def quotient_top_degree(nu: Composition, mu: Iterable[int]) -> int:
     ValueError is raised.
     """
     lam = transpose(mu)
-    if not dominates(lam, nu.sorted_partition()):
+    if not dominates(lam, sort_to_partition(nu)):
         raise ValueError("quotient is zero: transpose(mu) does not dominate nu")
     return sum(q * (q - 1) for q in lam) - sum(p * (p - 1) for p in nu.parts)
 

@@ -140,10 +140,6 @@ class Tableau:
     def __setattr__(self, name, value):
         raise AttributeError("Tableau is immutable")
 
-    def entry(self, r: int, c: int) -> int:
-        """Entry in row r, column c (both 1-based)."""
-        return self.rows[r - 1][c - 1]
-
     def content(self) -> Composition:
         values = [v for row in self.rows for v in row]
         if not values:
@@ -401,7 +397,7 @@ def charge(t: Tableau) -> int:
     return _word_charge(list(t.row_word()))
 
 
-def kostka_foulkes(tau: Partition, mu: Composition) -> IntPoly:
+def kostka_foulkes(tau: Partition, mu: Iterable[int]) -> IntPoly:
     """Graded Kostka refinement: sum of t^charge over semistandard fillings.
 
     The content composition is sorted first; the polynomial only depends

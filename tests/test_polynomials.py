@@ -86,13 +86,6 @@ class TestArithmetic:
         assert Poly.one(n).degree() == 0
         assert Poly.zero(n).degree() is None
 
-    def test_homogeneous_components(self):
-        n = 2
-        f = Poly.one(n) + x(n, 1) + Poly.monomial(n, (1, 1))
-        comps = f.homogeneous_components()
-        assert sorted(comps) == [0, 1, 2]
-        assert comps[1] == x(n, 1)
-
     def test_leading_grlex(self):
         n = 2
         # within a degree x_1 beats x_2

@@ -2,10 +2,11 @@ import itertools
 
 import pytest
 
+from coinv.glaction import WeightFamily
+from coinv.quotients import presentation
 from coinv.shapes import (
     Composition,
     Partition,
-    canonical_shape,
     coinvariant_top_degree,
     compositions_of,
     dominates,
@@ -108,7 +109,6 @@ class TestPartition:
 
     def test_part_indexing(self):
         p = Partition([3, 1])
-        assert [p.part(j) for j in (1, 2, 3)] == [3, 1, 0]
         assert p.head_sum(1) == 3
         assert p.head_sum(5) == 4
 
@@ -149,21 +149,30 @@ class TestSortToPartition:
 
 class TestCanonicalShape:
     def test_every_spelling_gives_one_key(self):
-        want = Composition(1, [2, 1, 1])
+        want = Partition([2, 1, 1])
+        nu, window = Composition(1, [1, 2, 1]), (1, 3)
+        pres = presentation(nu, want)
+        family = WeightFamily.unit(nu, window, want)
         for mu in (
             [1, 2, 1],
             (2, 1, 1),
             Partition([2, 1, 1]),
             Composition(3, [1, 0, 1, 2]),
             [0, 1, 1, 2, 0],
+            Composition(1, [1, 2, 1]),
         ):
-            shape = canonical_shape(mu)
-            assert shape == want
-            assert (shape.lo, shape.parts) == (1, (2, 1, 1))
+            assert sort_to_partition(mu) == want
+            assert presentation(nu, mu) is pres
+            assert type(presentation(nu, mu).mu) is Partition
+            assert WeightFamily.unit(nu, window, mu) == family
+
+    def test_partition_is_its_own_shape(self):
+        mu = Partition([2, 1, 1])
+        assert sort_to_partition(mu) is mu
 
     def test_empty(self):
-        assert canonical_shape([]) == Composition(1, [])
-        assert canonical_shape([0, 0]) == Composition(1, [])
+        assert sort_to_partition([]) == Partition([])
+        assert sort_to_partition([0, 0]) == Partition([])
 
 
 class TestDominates:

@@ -79,7 +79,6 @@ class TestTableau:
     def test_basic(self):
         t = Tableau([[1, 1, 2], [3]])
         assert t.shape == Partition([3, 1])
-        assert t.entry(1, 3) == 2
         assert t.content() == Composition(1, [2, 1, 1])
         assert is_column_strict(t) and is_row_weak(t)
         assert t.row_word() == (3, 1, 1, 2)
