@@ -9,15 +9,6 @@ class NotInvariantError(CoinvError):
     """A polynomial expected to be block-symmetric is not."""
 
 
-class NonTerminatingError(CoinvError):
-    """A graded quotient failed its vanishing-window certificate.
-
-    Raised when graded pieces that should vanish above the predicted top
-    degree turn out to be non-zero; this signals an internal inconsistency,
-    never bad user input.
-    """
-
-
 class NoSolutionError(CoinvError):
     """A power-basis decomposition has no solution.
 

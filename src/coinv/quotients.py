@@ -15,15 +15,15 @@ presentations do (the plain and e-form lists hold e_1..e_n, the h-form
 lists h_1..h_n), and ``QuotientPresentation`` refuses any other list
 with a ValueError.  Every quotient is then computed in the coinvariant
 algebra R = C[x]/(Lambda+), which has dimension n! and vanishes above
-degree n(n-1)/2 (``_r_slice``).  Monomials have memoised normal forms
+degree n(n-1)/2.  That bound holds for every quotient, whatever its
+generators: ``hilbert`` sweeps the degrees up to it and ``_r_slice``
+returns an empty degree above it.  Monomials have memoised normal forms
 modulo the staircase Groebner basis, J R is built degree by degree, and
-the basis columns are the orbit sums independent modulo J R.  Vanishing
-above the top is certified by the max(nu.parts) degrees above it
-(``QuotientPresentation._verify_vanishing``).  ``_r_slice`` is
-lru_cache'd on the variable blocks and the generators, so presentations
-over translated or zero-padded compositions share it.  ``_Echelon`` is
-the only elimination in the package; the tests check it against an
-orbit-sum echelon of P_nu kept in ``tests/reference.py``.
+the basis columns are the orbit sums independent modulo J R.
+``_r_slice`` is lru_cache'd on the variable blocks and the generators,
+so presentations over translated or zero-padded compositions share it.
+``_Echelon`` is the only elimination in the package; the tests check it
+against an orbit-sum echelon of P_nu kept in ``tests/reference.py``.
 
 An invariant polynomial's orbit-sum coordinates are its canonical terms,
 since each orbit sum has coefficient one on its canonical monomial.
@@ -39,7 +39,7 @@ import math
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .errors import NonTerminatingError, NotInvariantError
+from .errors import NotInvariantError
 from .polynomials import (
     Poly,
     QONE,
@@ -52,9 +52,7 @@ from .polynomials import (
 from .reporting import Report
 from .shapes import (
     Composition,
-    coinvariant_top_degree,
     dominates,
-    quotient_top_degree,
     sort_to_partition,
     transpose,
 )
@@ -445,7 +443,7 @@ def _times_var(n: int, row: list, j: int) -> list:
 # Poly (the generators): they keep one entry per (block layout, generator
 # list, degree), so they grow with the presentations built, not with the
 # polynomials reduced.  After ``verify --suite all --n 4`` _r_ideal holds
-# 191 entries and _r_slice 308.
+# 191 entries and _r_slice 357.
 @lru_cache(maxsize=None)
 def _r_ideal(n: int, gens: tuple, d: int) -> _Echelon:
     """Echelon of (JR)_d, the degree-d part of the ideal of R that gens generate.
@@ -455,9 +453,7 @@ def _r_ideal(n: int, gens: tuple, d: int) -> _Echelon:
     rows stop once they fill R_d.
     """
     ech = _Echelon()
-    full = _r_dims(n)[d] if d < len(_r_dims(n)) else 0
-    if full == 0:
-        return ech
+    full = _r_dims(n)[d]
     below = _r_ideal(n, gens, d - 1).pivots.values() if d else ()
     rows = itertools.chain(
         (_nf_row(n, g) for g in gens if g.degree() == 2 * d),
@@ -540,7 +536,16 @@ def _r_slice(blocks: tuple, n: int, gens: tuple, d: int) -> _DegreeData:
     basis columns kept so far, and the scan stops once they span W_d.
     That is the non-pivot set of the orbit echelon: column c is a pivot
     there iff its orbit sum lies in the span of the larger columns plus J.
+
+    High degrees cost nothing.  R_d is zero above n(n-1)/2, so those
+    degrees return at once.  Below it, the spanning rows of degree d
+    come from the m = max(nu.parts) degrees under d, since every
+    blockwise e_r has degree r <= m; once m consecutive degrees are
+    empty, every higher degree has no spanning row and is one memo
+    lookup, whatever the generators of the ideal are.
     """
+    if d >= len(_r_dims(n)):
+        return _EMPTY_DEGREE
     if d == 0:
         spanning = [[(0, 1)]]
     else:
@@ -597,8 +602,8 @@ class QuotientPresentation:
     the per-generator checks.  ``mu``, the shape of a standard
     presentation, is kept as a Partition.  ``form`` ("e" or "h") labels
     the generator form of a standard presentation and is None for other
-    lists; it does not change the computation.  ``top_degree`` (doubled grading) bounds
-    the dimension queries and is checked by the vanishing certificate.
+    lists; it does not change the computation.  Every generator list
+    answers the dimension queries: R bounds the degrees of any quotient.
     """
 
     def __init__(
@@ -608,7 +613,6 @@ class QuotientPresentation:
         *,
         mu=None,
         form=None,
-        top_degree=None,
         label: str = "",
     ):
         self.nu = nu
@@ -637,35 +641,17 @@ class QuotientPresentation:
         self.is_zero_algebra = any(
             g.constant() != 0 for g in self.generators
         )
-        # top degree in the doubled grading, None when unknown or zero
-        self._top = top_degree
-        # vanishing certificate length; see _verify_vanishing
-        self._window = max(nu.parts, default=0)
         self._cache: dict = {}
-        # only the zero algebra and P_nu with no variables are finite
-        # without a certificate
-        self._verified_above = self.is_zero_algebra or self.n == 0
-
-    # -- degree bookkeeping (internal = exponent-sum degrees) ----------
 
     @property
     def top_degree(self):
-        """Predicted top degree (doubled grading); None for the zero algebra."""
-        if self.is_zero_algebra:
-            return None
-        return self._top
-
-    def _top_int(self) -> int:
-        if self._top is None:
-            raise ValueError(
-                f"{self.label}: no degree bound available; "
-                "dimension queries need a top_degree hint"
-            )
-        return self._top // 2
+        """Top degree (doubled grading); None for the zero algebra."""
+        return self.hilbert().degree()
 
     # -- echelon construction ------------------------------------------
 
     def _degree_data(self, d: int) -> _DegreeData:
+        """Degree d in the exponent-sum grading."""
         data = self._cache.get(d)
         if data is None:
             data = _r_slice(self._blocks, self.n, tuple(self.generators), d)
@@ -676,56 +662,19 @@ class QuotientPresentation:
 
     def graded_dim(self, d: int) -> int:
         """Dimension of the degree-d piece (doubled grading)."""
-        if d < 0 or d % 2:
+        if d < 0 or d % 2 or self.is_zero_algebra:
             return 0
-        if self.is_zero_algebra:
-            return 0
-        di = d // 2
-        top = self._top_int()
-        if di <= top + self._window:
-            data = self._degree_data(di)
-            return len(data.basis_cols)
-        self._verify_vanishing()
-        return 0
-
-    def _verify_vanishing(self) -> None:
-        """Certify that every degree above the top vanishes.
-
-        The ring P_nu is a tensor product of symmetric-polynomial rings,
-        one per block, so as an algebra it is generated by the blockwise
-        e_r, all of degree at most m = max(nu.parts).  A product of such
-        generators of degree d > top has partial products rising in steps
-        of at most m, so one of them has degree in [top+1, top+m]; if those
-        m slices are zero in the quotient, that partial product lies in the
-        ideal and so does the whole product.  Checking the m slices above
-        the top therefore certifies every higher degree, whatever the
-        generators of the ideal are.
-        """
-        if self._verified_above:
-            return
-        top = self._top_int()
-        for w in range(1, self._window + 1):
-            data = self._degree_data(top + w)
-            if data.basis_cols:
-                raise NonTerminatingError(
-                    f"{self.label}: degree {2 * (top + w)} should vanish "
-                    f"but has dimension {len(data.basis_cols)}"
-                )
-        self._verified_above = True
+        return len(self._degree_data(d // 2).basis_cols)
 
     def dim(self) -> int:
         return sum(self.hilbert().coeffs)
 
     def hilbert(self) -> IntPoly:
-        """Graded dimensions as a polynomial in t, doubled grading."""
-        if self.is_zero_algebra:
-            return IntPoly()
-        top = self._top_int()
-        coeffs = [0] * (2 * top + 1)
-        for di in range(top + 1):
-            coeffs[2 * di] = len(self._degree_data(di).basis_cols)
-        self._verify_vanishing()
-        return IntPoly(coeffs)
+        """Graded dimensions as a polynomial in t, doubled grading.
+
+        R vanishes above degree n(n-1)/2, so the sweep stops there.
+        """
+        return IntPoly(self.graded_dim(d) for d in range(self.n * (self.n - 1) + 1))
 
     def graded_basis(self, d: int) -> list:
         """Canonical orbit-sum basis of the degree-d piece (doubled grading)."""
@@ -790,14 +739,8 @@ def _normal_form_rep(pres: QuotientPresentation, f: Poly) -> Poly:
     by_degree: dict = {}
     for exp, c in canon_terms.items():
         by_degree.setdefault(sum(exp), []).append((exp, c))
-    # beyond the verified window every component reduces to zero;
-    # without a degree bound just work at the component's own degree
-    cutoff = None if pres._top is None else pres._top_int() + pres._window
     acc: dict = {}
     for di, coords in sorted(by_degree.items()):
-        if cutoff is not None and di > cutoff:
-            pres._verify_vanishing()
-            continue
         data = pres._degree_data(di)
         if not data.basis_cols:
             continue
@@ -891,7 +834,6 @@ def _standard_presentation(nu: Composition, mu, form: str):
             nu,
             coinvariant_generators(nu),
             form="e",
-            top_degree=coinvariant_top_degree(nu),
             label=f"coinvariants of {nu!r}",
         )
     if form == "h":
@@ -900,14 +842,11 @@ def _standard_presentation(nu: Composition, mu, form: str):
         gens = tanisaki_generators_e(mu, nu)
     else:
         raise ValueError(f"unknown form {form!r}")
-    # None: zero algebra, whose generators contain a constant
-    top = quotient_top_degree(nu, mu) if is_nonzero(mu, nu) else None
     return QuotientPresentation(
         nu,
         gens,
         mu=mu,
         form=form,
-        top_degree=top,
         label=f"shape-cut quotient {transpose(mu).parts} over {nu!r}",
     )
 

@@ -402,7 +402,6 @@ def test_verify_unknown_suite_exits_two():
         (ValueError, 2, "error:"),
         (errors.NotInvariantError, 2, "error:"),
         (errors.WindowOverflowError, 4, "window overflow:"),
-        (errors.NonTerminatingError, 3, "internal invariant breach:"),
         (errors.NoSolutionError, 3, "internal invariant breach:"),
     ],
 )

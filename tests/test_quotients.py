@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coinv.errors import NonTerminatingError, NotInvariantError
+from coinv.errors import NotInvariantError
 from coinv.polynomials import Poly, Q, e_sym, h_sym
 from coinv.quotients import (
     QuotientPresentation,
@@ -186,6 +186,19 @@ def test_top_degree_matches_formula():
             h = presentation(nu).hilbert()
             assert len(h.coeffs) - 1 == coinvariant_top_degree(nu)
             assert h.coeffs[-1] == 1
+    # R alone bounds these top degrees, so the formula is an independent check
+    nonzero = 0
+    for n in range(1, 6):
+        for nu in compositions_of(n, (1, n)):
+            for mu in partitions_of(n):
+                flag = is_nonzero(mu, nu)
+                for form in ("e", "h"):
+                    pres = presentation(nu, mu, form=form)
+                    assert pres.is_zero_algebra == (not flag), (nu, mu, form)
+                    top = quotient_top_degree(nu, mu) if flag else None
+                    assert pres.top_degree == top, (nu, mu, form)
+                    nonzero += flag
+    assert nonzero == 1248
 
 
 def test_graded_dim_odd_or_negative_is_zero():
@@ -193,6 +206,13 @@ def test_graded_dim_odd_or_negative_is_zero():
     assert p.graded_dim(1) == 0
     assert p.graded_dim(-2) == 0
     assert p.graded_dim(100) == 0
+
+
+def test_degrees_far_above_r_vanish_at_once():
+    pres = presentation(comp(1, 1))
+    x1, x2 = Poly.var(2, 1), Poly.var(2, 2)
+    assert pres.normal_form(x1**3000 + x2**3000).is_zero
+    assert pres.graded_dim(6000) == 0
 
 
 # ----------------------------------------------------------------------
@@ -556,7 +576,7 @@ def test_non_terminating_quotient_detected():
     nu = comp(1, 1)
     gens = [e_sym(2, [1, 2], 2)]  # x1*x2 alone leaves an infinite quotient
     with pytest.raises(ValueError, match="Lambda\\+"):
-        QuotientPresentation(nu, gens, top_degree=2)
+        QuotientPresentation(nu, gens)
 
 
 def test_non_terminating_custom_presentation_detected():
@@ -565,7 +585,7 @@ def test_non_terminating_custom_presentation_detected():
     nu = comp(3)
     gens = [e_sym(3, [1, 2, 3], 1), e_sym(3, [1, 2, 3], 2)]
     with pytest.raises(ValueError, match="Lambda\\+"):
-        QuotientPresentation(nu, gens, top_degree=0)
+        QuotientPresentation(nu, gens)
     ref = OrbitSumQuotient(nu, gens)
     assert ref.graded_dim(1) == ref.graded_dim(2) == 0
     assert not ref.normal_form(e_sym(3, [1, 2, 3], 3)).is_zero
@@ -576,28 +596,21 @@ def test_form_label_does_not_pick_the_route():
     gens = [e_sym(2, [1, 2], 1)]
     for form in ("e", None):
         with pytest.raises(ValueError, match="Lambda\\+"):
-            QuotientPresentation(comp(2), gens, form=form, top_degree=2)
+            QuotientPresentation(comp(2), gens, form=form)
 
 
 def test_non_terminating_empty_generator_list_detected():
     # no generators leave all of C[e_1, e_2], which is infinite
     with pytest.raises(ValueError, match="Lambda\\+"):
-        QuotientPresentation(comp(2), [], top_degree=0)
-
-
-def test_vanishing_certificate_catches_a_low_top_degree():
-    nu = comp(1, 1)
-    pres = QuotientPresentation(nu, coinvariant_generators(nu), top_degree=0)
-    with pytest.raises(NonTerminatingError):
-        pres.dim()
+        QuotientPresentation(comp(2), [])
 
 
 def test_vanishing_window_covers_generator_degrees():
     """Every slice up to n degrees above the top is zero.
 
-    The vanishing certificate checks only max(nu.parts) degrees above the
-    top, fewer than the largest generator degree n of the standard
-    presentations; the slices in between must vanish too.
+    ``_r_slice`` finds a degree empty at once when the max(nu.parts)
+    degrees under it are, fewer than the largest generator degree n of
+    the standard presentations; the slices in between must vanish too.
     """
     checked = 0
     for n in range(1, 5):
@@ -607,7 +620,7 @@ def test_vanishing_window_covers_generator_degrees():
                 standard = presentation(nu, mu)
                 if standard.is_zero_algebra:
                     continue
-                # the certificate holds for any ideal, so check it on the
+                # that argument holds for any ideal, so check it on the
                 # orbit-sum reference, which does not need Lambda+
                 ref = OrbitSumQuotient(nu, standard.generators)
                 top = standard.top_degree // 2
@@ -621,7 +634,7 @@ def test_zero_generator_is_ignored():
     nu = comp(1, 1)
     gens = coinvariant_generators(nu)
     padded = gens + [Poly.zero(2)]
-    pres = QuotientPresentation(nu, padded, top_degree=2)
+    pres = QuotientPresentation(nu, padded)
     assert pres.generators == gens
     assert pres.dim() == 2
     assert pres.contains(gens[0]) and not pres.contains(Poly.var(2, 1))
@@ -646,15 +659,18 @@ def test_presentation_stores_sorted_shape():
     assert presentation(nu, comp(2, 1)).mu == Partition([2, 1])
 
 
-def test_custom_presentation_needs_bound_for_dim():
+def test_custom_presentation_answers_dim():
     x1 = Poly.var(1, 1)
     with pytest.raises(ValueError, match="Lambda\\+"):
         QuotientPresentation(comp(1), [x1 * x1])
     pres = QuotientPresentation(comp(1), [x1])
-    with pytest.raises(ValueError, match="top_degree"):
-        pres.dim()
+    assert pres.dim() == 1
     assert pres.contains(x1 * x1)
     assert not pres.contains(Poly.one(1))
+    full = [h_sym(3, [1, 2, 3], r) for r in (1, 2, 3)]
+    pres = QuotientPresentation(comp(1, 1, 1), full)
+    assert pres.hilbert().coeffs == (1, 0, 2, 0, 2, 0, 1)
+    assert pres.top_degree == 6
 
 
 def test_antiinv_divide():
