@@ -63,6 +63,11 @@ EXIT_INTERNAL = 3
 EXIT_WINDOW = 4
 
 DEFAULT_NMAX = 8
+# dim, hilbert, basis and act build quotients.  Cold, Fraction backend, 2
+# cores: at n = 7 "dim --nu 2,2,2,1" takes 25 s (167 MB), "--nu 1^7" 112 s
+# (651 MB); at n = 8 "--nu 2,2,2,2" had not finished after 150 s, nor
+# "--nu 3,3,2" after 90 s.
+QUOTIENT_NMAX = 7
 SUITE_NMAX = 5
 # Suites sweep every composition of n on the window.  Measured with the
 # Fraction backend on 2 cores: the default window at n = 5 holds 126,
@@ -95,18 +100,18 @@ class InputError(Exception):
 # parsing helpers
 
 
-def n_limit(for_suite: bool = False) -> int:
+def n_limit(cap: int) -> int:
     raw = os.environ.get("COINV_NMAX")
     if raw is None:
-        return SUITE_NMAX if for_suite else DEFAULT_NMAX
+        return cap
     try:
         return int(raw)
     except ValueError:
         raise InputError(f"COINV_NMAX must be an integer, got {raw!r}")
 
 
-def check_size(n: int, for_suite: bool = False) -> None:
-    cap = n_limit(for_suite)
+def check_size(n: int, cap: int = DEFAULT_NMAX) -> None:
+    cap = n_limit(cap)
     if n > cap:
         raise InputError(
             f"n={n} exceeds the configured maximum {cap} "
@@ -216,7 +221,7 @@ def _orbit_count(nu: Composition) -> int:
 
 def cmd_dim(args) -> int:
     nu = parse_composition(args.nu)
-    check_size(nu.n)
+    check_size(nu.n, QUOTIENT_NMAX)
     mu = parse_mu(args.mu, nu.n)
     pres = presentation(nu, mu, form=args.form)
     d = pres.dim()
@@ -245,7 +250,7 @@ def cmd_dim(args) -> int:
 
 def cmd_hilbert(args) -> int:
     nu = parse_composition(args.nu)
-    check_size(nu.n)
+    check_size(nu.n, QUOTIENT_NMAX)
     mu = parse_mu(args.mu, nu.n)
     series = presentation(nu, mu, form=args.form).hilbert()
     coeffs = list(series.coeffs)
@@ -262,7 +267,7 @@ def cmd_hilbert(args) -> int:
 
 def cmd_basis(args) -> int:
     nu = parse_composition(args.nu)
-    check_size(nu.n)
+    check_size(nu.n, QUOTIENT_NMAX)
     mu = parse_mu(args.mu, nu.n)
     pres = presentation(nu, mu, form=args.form)
     if pres.is_zero_algebra:
@@ -302,7 +307,7 @@ def cmd_basis(args) -> int:
 def cmd_act(args) -> int:
     nu = parse_composition(args.nu)
     n = nu.n
-    check_size(n)
+    check_size(n, QUOTIENT_NMAX)
     mu = parse_mu(args.mu, n)
     if args.window is not None:
         window = parse_window(args.window)
@@ -544,7 +549,7 @@ def cmd_verify(args) -> int:
     n = args.n
     if n < 1:
         raise InputError("--n must be at least 1")
-    check_size(n, for_suite=True)
+    check_size(n, SUITE_NMAX)
     window = parse_window(args.window) if args.window else (1, n)
     width = window[1] - window[0] + 1
     count = comb(n + width - 1, n)

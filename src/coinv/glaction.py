@@ -34,7 +34,6 @@ from typing import NamedTuple
 from .errors import NoSolutionError, NotInvariantError, WindowOverflowError
 from .polynomials import (
     Poly,
-    _coef,
     _coefs,
     divided_difference,
     e_block,
@@ -234,11 +233,9 @@ def _power_coords(m: int, last: bool, e: tuple) -> tuple:
     prod (t - x_j) over the block is monic.
     """
     ech, unknowns, col_of = _power_system(m, last, sum(e))
-    ncols = len(col_of)
-    red = ech.reduce([(col_of[e], 1)])
-    if red and red[0][0] < ncols:
-        raise NoSolutionError("no decomposition over the power basis exists")
-    return tuple((unknowns[col - ncols], _coef(-v)) for col, v in red)
+    return tuple(
+        (unknowns[u], v) for u, v in ech.solve([(col_of[e], 1)], len(col_of))
+    )
 
 
 def decompose_over(ks: KeySituation, f, side: str) -> list:

@@ -25,21 +25,25 @@ so presentations over translated or zero-padded compositions share it.
 ``_Echelon`` is the only elimination in the package; the tests check it
 against an orbit-sum echelon of P_nu kept in ``tests/reference.py``.
 
+Coordinates are read one way, by ``_Echelon.solve``: a degree keeps the
+rows of J R and its basis columns' tagged rows, and a normal form is one
+reduction on them.  ``glaction`` reads power-basis coordinates so too.
+
 An invariant polynomial's orbit-sum coordinates are its canonical terms,
 since each orbit sum has coefficient one on its canonical monomial.
 ``_orbit_terms`` checks block invariance and reads those coordinates in
-one pass over the terms; ``normal_form``, ``glaction.decompose_over``,
-the constructor and the invariance predicates all go through it, so
-every input is checked and the check costs no second pass.
+one pass over the terms.  ``glaction.decompose_over`` reads them;
+``normal_form``, the constructor and the invariance predicates use the
+same pass as their invariance check, so every input is checked.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .errors import NotInvariantError
+from .errors import NoSolutionError, NotInvariantError
 from .polynomials import (
     Poly,
     QONE,
@@ -346,6 +350,20 @@ class _Echelon:
                 row = _row_sub(row, coef, piv)
         return out
 
+    def solve(self, row: list, ncols: int) -> tuple:
+        """Coordinates of an untagged row on the tagged rows.
+
+        Unknown u's row was inserted with a tag entry 1 at ncols + u.  A
+        row in the span reduces to tag entries alone, and it is then the
+        sum of c_u times unknown u's row, modulo the untagged rows, with
+        c_u minus the entry at ncols + u.  Returns the (u, c_u) pairs;
+        raises NoSolutionError when a column below ncols is left.
+        """
+        red = self.reduce(row)
+        if red and red[0][0] < ncols:
+            raise NoSolutionError("the row is not in the span of the echelon")
+        return tuple((col - ncols, _coef(-v)) for col, v in red)
+
 
 # ----------------------------------------------------------------------
 # the coinvariant algebra R = C[x]/(Lambda+)
@@ -394,6 +412,12 @@ def _staircase_rest(n: int, i: int) -> tuple:
     )
 
 
+# _nf_monomial stays unbounded although normal_form inputs reach it: its
+# monomials have degree at most n(n-1)/2, since _r_ideal and _r_slice build
+# only R's degrees and _normal_form_rep skips a degree with an empty
+# _r_slice, every degree above n(n-1)/2 among them, before _nf_row.  It
+# holds 230 entries after ``verify --suite all --n 4``, 16 982 after
+# ``dim --nu 1,1,1,1,1,1``.
 @lru_cache(maxsize=None)
 def _nf_monomial(n: int, exp: tuple) -> dict:
     """Normal form of x^exp in R: standard position -> integer coefficient.
@@ -443,7 +467,7 @@ def _times_var(n: int, row: list, j: int) -> list:
 # Poly (the generators): they keep one entry per (block layout, generator
 # list, degree), so they grow with the presentations built, not with the
 # polynomials reduced.  After ``verify --suite all --n 4`` _r_ideal holds
-# 191 entries and _r_slice 357.
+# 213 entries and _r_slice 483.
 @lru_cache(maxsize=None)
 def _r_ideal(n: int, gens: tuple, d: int) -> _Echelon:
     """Echelon of (JR)_d, the degree-d part of the ideal of R that gens generate.
@@ -466,54 +490,22 @@ def _r_ideal(n: int, gens: tuple, d: int) -> _Echelon:
     return ech
 
 
-def _tag_coords(red: list, tag: int) -> tuple:
-    """Coefficients on the basis columns of a column whose row, with its
-    tag entry, reduced to red: red[0] is the column's own tag, with
-    coefficient 1, and the other entries are minus the coefficients at
-    the basis columns' tags."""
-    return tuple((u - tag, -v) for u, v in red[1:])
-
-
-class _DegreeData:
-    """One degree of a quotient, computed in R; coordinates are found on first use.
+class _DegreeData(NamedTuple):
+    """One degree of a quotient, computed in R.
 
     ``exps`` are the canonical exponents of the orbit-sum columns and
     ``basis_cols`` the canonical basis columns.  ``echelon`` holds (JR)_d
-    and the basis columns' rows, each with a tag entry at n! + column.  A
-    column reduces to its own tag plus minus its coefficients on the basis
-    columns' tags, as in glaction.decompose_over.
+    and the basis columns' rows, column c's row tagged at n! + c; its
+    rows span W_d (see ``_r_slice``), so ``echelon.solve(row, n!)`` reads
+    an invariant's coordinates on the basis columns off its row in R.
     """
 
-    __slots__ = ("blocks", "n", "exps", "col_of", "echelon", "basis_cols", "coords")
-
-    def __init__(self, blocks, n, exps, echelon, basis_cols, coords):
-        self.blocks = blocks
-        self.n = n
-        self.exps = exps
-        self.col_of = {e: i for i, e in enumerate(exps)}
-        self.echelon = echelon
-        self.basis_cols = basis_cols
-        self.coords = coords
-
-    def express(self, c: int) -> tuple:
-        """Coefficients of column c on the basis columns."""
-        if self.coords[c] is None:
-            tag = math.factorial(self.n)
-            orbit = _orbit_poly(self.blocks, self.n, self.exps[c])
-            red = self.echelon.reduce(_nf_row(self.n, orbit) + [(tag + c, 1)])
-            self.coords[c] = _tag_coords(red, tag)
-        return self.coords[c]
-
-    def reduce(self, vec: list) -> list:
-        """Coefficients on the basis columns of an orbit-coordinate vector."""
-        acc: dict = {}
-        for col, v in vec:
-            for u, a in self.express(col):
-                acc[u] = acc.get(u, 0) + v * a
-        return sorted((u, a) for u, a in acc.items() if a != 0)
+    exps: tuple
+    echelon: _Echelon
+    basis_cols: tuple
 
 
-_EMPTY_DEGREE = _DegreeData((), 0, (), None, (), ())
+_EMPTY_DEGREE = _DegreeData((), None, ())
 
 
 # unbounded for the reason given above _r_ideal
@@ -536,6 +528,8 @@ def _r_slice(blocks: tuple, n: int, gens: tuple, d: int) -> _DegreeData:
     basis columns kept so far, and the scan stops once they span W_d.
     That is the non-pivot set of the orbit echelon: column c is a pivot
     there iff its orbit sum lies in the span of the larger columns plus J.
+    Only the basis columns' tagged rows are kept: with (JR)_d they span
+    W_d, so ``_Echelon.solve`` reads any coordinates off them.
 
     High degrees cost nothing.  R_d is zero above n(n-1)/2, so those
     degrees return at once.  Below it, the spanning rows of degree d
@@ -565,7 +559,6 @@ def _r_slice(blocks: tuple, n: int, gens: tuple, d: int) -> _DegreeData:
     if span.rank == ideal.rank:
         return _EMPTY_DEGREE
     exps = _canonical_exps(blocks, n, d)
-    coords: list = [None] * len(exps)
     tag = math.factorial(n)
     ech = _Echelon()
     ech.pivots = dict(ideal.pivots)
@@ -578,10 +571,7 @@ def _r_slice(blocks: tuple, n: int, gens: tuple, d: int) -> _DegreeData:
         if red[0][0] < tag:
             ech.insert(red)
             basis.append(c)
-            coords[c] = ((c, 1),)
-        else:
-            coords[c] = _tag_coords(red, tag)
-    return _DegreeData(blocks, n, exps, ech, tuple(sorted(basis)), coords)
+    return _DegreeData(exps, ech, tuple(sorted(basis)))
 
 
 def _r_basis(blocks: tuple, n: int, gens: tuple, d: int) -> list:
@@ -662,7 +652,7 @@ class QuotientPresentation:
 
     def graded_dim(self, d: int) -> int:
         """Dimension of the degree-d piece (doubled grading)."""
-        if d < 0 or d % 2 or self.is_zero_algebra:
+        if d < 0 or d % 2:
             return 0
         return len(self._degree_data(d // 2).basis_cols)
 
@@ -726,27 +716,25 @@ def _normal_form_rep(pres: QuotientPresentation, f: Poly) -> Poly:
     """The canonical representative of f in pres, as a polynomial.
 
     One pass over f's terms checks block invariance (raising
-    NotInvariantError) and reads f's orbit-sum coordinates, its
-    canonical terms; those are grouped by degree and reduced there.
-    The key is the presentation itself, compared by identity, so two
+    NotInvariantError).  In each degree with a non-zero piece, the
+    normal form in R of f's terms of that degree is solved on the
+    degree's tagged echelon for coordinates on the basis columns.  The
+    key is the presentation itself, compared by identity, so two
     presentations over one composition never share an entry.
     """
     if f.n != pres.n:
         raise ValueError("wrong variable count")
-    canon_terms = _orbit_terms(f, pres.nu)
-    if pres.is_zero_algebra:
-        return Poly.zero(pres.n)
+    _orbit_terms(f, pres.nu)
     by_degree: dict = {}
-    for exp, c in canon_terms.items():
-        by_degree.setdefault(sum(exp), []).append((exp, c))
+    for exp, c in f.terms.items():
+        by_degree.setdefault(sum(exp), {})[exp] = c
     acc: dict = {}
-    for di, coords in sorted(by_degree.items()):
+    for di, terms in sorted(by_degree.items()):
         data = pres._degree_data(di)
         if not data.basis_cols:
             continue
-        col_of = data.col_of
-        vec = sorted((col_of[exp], c) for exp, c in coords)
-        for col, coef in data.reduce(vec):
+        row = _nf_row(pres.n, Poly(pres.n, terms, _clean=True))
+        for col, coef in data.echelon.solve(row, math.factorial(pres.n)):
             orbit = _orbit_poly(pres._blocks, pres.n, data.exps[col])
             for exp, c in orbit.terms.items():
                 acc[exp] = acc.get(exp, 0) + coef * c

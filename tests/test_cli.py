@@ -146,6 +146,23 @@ def test_size_cap_applies(capsys):
     assert "COINV_NMAX" in err
 
 
+def test_quotient_commands_stop_below_the_tableau_cap(capsys):
+    """dim, hilbert, basis and act build quotient algebras and refuse
+    n = 8 up front; the tableau commands still take it."""
+    for argv in (
+        ["dim", "--nu", "2,2,2,2"],
+        ["hilbert", "--nu", "3,3,2"],
+        ["basis", "--nu", "4,4"],
+        ["act", "--op", "F_1", "--nu", "4,4"],
+    ):
+        code, _, err = run(capsys, argv)
+        assert code == 2, argv
+        assert "maximum 7" in err and "COINV_NMAX" in err, argv
+    code, out, _ = run(capsys, ["kf", "--tau", "4,4", "--mu", "2,2,2,2"])
+    assert code == 0
+    assert "kostka_foulkes" in out
+
+
 def test_size_cap_overridable(capsys, monkeypatch):
     monkeypatch.setenv("COINV_NMAX", "9")
     code, out, _ = run(capsys, ["dim", "--nu", "9"])

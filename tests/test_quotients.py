@@ -41,8 +41,10 @@ from reference import (
     NotAntiInvariantError,
     OrbitSumQuotient,
     antiinv_divide,
+    canonical_exponents,
     eps_nu,
     is_fixed_by_block_group,
+    orbit_sum,
     symmetrize,
 )
 
@@ -197,6 +199,7 @@ def test_top_degree_matches_formula():
                     assert pres.is_zero_algebra == (not flag), (nu, mu, form)
                     top = quotient_top_degree(nu, mu) if flag else None
                     assert pres.top_degree == top, (nu, mu, form)
+                    assert pres.one().is_zero == (not flag), (nu, mu, form)
                     nonzero += flag
     assert nonzero == 1248
 
@@ -852,6 +855,14 @@ def assert_engines_agree(nu, mu, form, rng):
     for d in range(top + 1):
         got = [b.rep for b in pres.graded_basis(2 * d)]
         assert got == ref.basis(d), (nu, mu, form, d)
+    # every orbit-sum column, dependent ones past the scan's early stop
+    # included, and one degree past the top, where all of them vanish
+    for d in range(top + 2):
+        for exp in canonical_exponents(ref.spans, nu.n, d):
+            orbit = orbit_sum(ref.spans, nu.n, exp)
+            assert pres.normal_form(orbit).rep == ref.normal_form(orbit), (
+                nu, mu, form, exp
+            )
     for _ in range(3):
         f = random_invariant(rng, nu, top)
         assert pres.normal_form(f).rep == ref.normal_form(f), (nu, mu, form)
