@@ -136,6 +136,15 @@ class KeySituation:
         return f"KeySituation(i={self.i}, nu={self.nu!r})"
 
 
+# The memoised constructor of the operator path: one operator-calculus pass
+# makes 783 lookups on 72 distinct (i, nu).  A KeySituation holds only
+# compositions and integers, so an entry keeps no presentation alive.  The
+# default verify window at n = 5 gives 126 compositions times 4 indices,
+# 504 keys, which 1 024 entries hold; a wider window evicts, and each
+# family's steps revisit only the keys of its own weight's neighbours.
+_key_situation = lru_cache(maxsize=1024)(KeySituation)
+
+
 @lru_cache(maxsize=1024)
 def _kernel(n: int, k: int, span: int) -> Poly:
     """Product of (x_{k-j} - x_k) for j = 1..-span when span < 0, and of
@@ -300,7 +309,7 @@ def _power_image(nu: Composition, i: int, r: int, side: str) -> Poly:
     the blocks src.block and dst.block of the target ring dst.base; one
     of the two signs is (-1)^a and the other +1.
     """
-    ks = KeySituation(i, nu)
+    ks = _key_situation(i, nu)
     src = ks.side(side)
     dst = ks.opposite(src)
     out = Poly.zero(ks.n)
@@ -396,13 +405,13 @@ def _component_image(op: str, i: int, nu: Composition, mu, form, rep: Poly):
     if op == "F":
         if nu[i] == 0:
             return None
-        ks = KeySituation(i, nu)
+        ks = _key_situation(i, nu)
         target_nu = ks.nu_prime
         image = apply_F_poly(ks, rep)
     elif op == "E":
         if nu[i + 1] == 0:
             return None
-        ks = KeySituation(i, nu.raise_at(i))
+        ks = _key_situation(i, nu.raise_at(i))
         target_nu = ks.nu
         image = apply_E_poly(ks, rep)
     else:
@@ -626,22 +635,26 @@ def relation_report(n: int, window: tuple, mu=None) -> Report:
     ok_ef = ok_comm = ok_serre = True
     ok_d = {"E": True, "F": True}
     for fam in families:
+        # every single step off fam, built once and shared by the checks
+        step = {
+            "E": {i: fam.apply("E", i) for i in move_idx},
+            "F": {i: fam.apply("F", i) for i in move_idx},
+            "D": {i: fam.apply("D", i) for i in range(lo, hi + 1)},
+        }
         for i in move_idx:
             for j in move_idx:
-                ef = fam.apply("F", j).apply("E", i)
-                fe = fam.apply("E", i).apply("F", j)
+                ef = step["F"][j].apply("E", i)
+                fe = step["E"][i].apply("F", j)
                 comm = ef - fe
                 if i == j:
-                    rhs = fam.apply("D", i) - fam.apply("D", i + 1)
+                    rhs = step["D"][i] - step["D"][i + 1]
                 else:
                     rhs = fam * 0
                 if comm != rhs:
                     ok_ef = False
                 if abs(i - j) >= 2:
                     for op in ("E", "F"):
-                        swap = fam.apply(op, j).apply(op, i) - fam.apply(
-                            op, i
-                        ).apply(op, j)
+                        swap = step[op][j].apply(op, i) - step[op][i].apply(op, j)
                         if not swap.is_zero:
                             ok_comm = False
         for i in range(lo, hi + 1):
@@ -649,8 +662,8 @@ def relation_report(n: int, window: tuple, mu=None) -> Report:
                 # [D_i, E_j] = (d_ij - d_i,j+1) E_j, and minus that for F_j
                 scal = (1 if i == j else 0) - (1 if i == j + 1 else 0)
                 for op, sign in (("E", 1), ("F", -1)):
-                    moved = fam.apply(op, j)
-                    comm = moved.apply("D", i) - fam.apply("D", i).apply(op, j)
+                    moved = step[op][j]
+                    comm = moved.apply("D", i) - step["D"][i].apply(op, j)
                     if comm != moved * (sign * scal):
                         ok_d[op] = False
         for i in move_idx:
@@ -658,9 +671,9 @@ def relation_report(n: int, window: tuple, mu=None) -> Report:
                 if j not in move_idx:
                     continue
                 for op in ("E", "F"):
-                    aab = fam.apply(op, j).apply(op, i).apply(op, i)
-                    aba = fam.apply(op, i).apply(op, j).apply(op, i)
-                    baa = fam.apply(op, i).apply(op, i).apply(op, j)
+                    aab = step[op][j].apply(op, i).apply(op, i)
+                    aba = step[op][i].apply(op, j).apply(op, i)
+                    baa = step[op][i].apply(op, i).apply(op, j)
                     serre = aab - 2 * aba + baa
                     if not serre.is_zero:
                         ok_serre = False

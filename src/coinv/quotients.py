@@ -33,8 +33,8 @@ An invariant polynomial's orbit-sum coordinates are its canonical terms,
 since each orbit sum has coefficient one on its canonical monomial.
 ``_orbit_terms`` checks block invariance and reads those coordinates in
 one pass over the terms.  ``glaction.decompose_over`` reads them;
-``normal_form``, the constructor and the invariance predicates use the
-same pass as their invariance check, so every input is checked.
+``normal_form`` and the constructor use the same pass as their
+invariance check, so every input is checked.
 """
 from __future__ import annotations
 
@@ -197,15 +197,6 @@ def _orbit_terms(f: Poly, nu: Composition) -> dict:
         if count == len(terms):
             return canon_terms
     raise NotInvariantError(f"polynomial is not invariant for blocks of {nu!r}")
-
-
-def is_block_invariant(f: Poly, nu: Composition) -> bool:
-    """Whether f is fixed by the block subgroup of nu."""
-    try:
-        _orbit_terms(f, nu)
-    except NotInvariantError:
-        return False
-    return True
 
 
 # ----------------------------------------------------------------------
@@ -632,6 +623,7 @@ class QuotientPresentation:
             g.constant() != 0 for g in self.generators
         )
         self._cache: dict = {}
+        self._hilbert = None
 
     @property
     def top_degree(self):
@@ -662,9 +654,15 @@ class QuotientPresentation:
     def hilbert(self) -> IntPoly:
         """Graded dimensions as a polynomial in t, doubled grading.
 
-        R vanishes above degree n(n-1)/2, so the sweep stops there.
+        R vanishes above degree n(n-1)/2, so the sweep stops there.  The
+        series is swept once per presentation; ``top_degree``, ``dim``
+        and ``basis`` read the kept one.
         """
-        return IntPoly(self.graded_dim(d) for d in range(self.n * (self.n - 1) + 1))
+        if self._hilbert is None:
+            self._hilbert = IntPoly(
+                self.graded_dim(d) for d in range(self.n * (self.n - 1) + 1)
+            )
+        return self._hilbert
 
     def graded_basis(self, d: int) -> list:
         """Canonical orbit-sum basis of the degree-d piece (doubled grading)."""
@@ -708,31 +706,37 @@ class QuotientPresentation:
 # The operator checks reduce the same polynomial in the same presentation
 # again and again: both routes of an operator build equal images, and
 # relation sweeps revisit each image.  One operator-calculus pass makes
-# 6 435 calls on 2 166 distinct pairs; of its 4 269 repeats an LRU of 256
-# entries catches 4 160, one of 64 entries 3 575.  An input that raises
+# 6 293 calls on 2 166 distinct pairs; of its 4 127 repeats an LRU of 256
+# entries catches 3 968, one of 64 entries 3 426.  An input that raises
 # is not cached.
 @lru_cache(maxsize=256)
 def _normal_form_rep(pres: QuotientPresentation, f: Poly) -> Poly:
     """The canonical representative of f in pres, as a polynomial.
 
     One pass over f's terms checks block invariance (raising
-    NotInvariantError).  In each degree with a non-zero piece, the
-    normal form in R of f's terms of that degree is solved on the
-    degree's tagged echelon for coordinates on the basis columns.  The
-    key is the presentation itself, compared by identity, so two
-    presentations over one composition never share an entry.
+    NotInvariantError).  Terms of a degree whose piece is zero are
+    dropped as they are grouped, so they reach no normal form in R.  In
+    each other degree, the normal form in R of f's terms of that degree
+    is solved on the degree's tagged echelon for coordinates on the
+    basis columns.  The key is the presentation itself, compared by
+    identity, so two presentations over one composition never share an
+    entry.
     """
     if f.n != pres.n:
         raise ValueError("wrong variable count")
     _orbit_terms(f, pres.nu)
+    live: dict = {}  # degree -> its _DegreeData, or None for a zero piece
     by_degree: dict = {}
     for exp, c in f.terms.items():
-        by_degree.setdefault(sum(exp), {})[exp] = c
+        di = sum(exp)
+        if di not in live:
+            data = pres._degree_data(di)
+            live[di] = data if data.basis_cols else None
+        if live[di] is not None:
+            by_degree.setdefault(di, {})[exp] = c
     acc: dict = {}
     for di, terms in sorted(by_degree.items()):
-        data = pres._degree_data(di)
-        if not data.basis_cols:
-            continue
+        data = live[di]
         row = _nf_row(pres.n, Poly(pres.n, terms, _clean=True))
         for col, coef in data.echelon.solve(row, math.factorial(pres.n)):
             orbit = _orbit_poly(pres._blocks, pres.n, data.exps[col])

@@ -16,10 +16,12 @@ class Composition:
     """Finitely supported map from integer indices to non-negative parts.
 
     ``parts[0]`` sits at absolute index ``lo``.  Instances are immutable
-    and hashable; equality ignores leading and trailing zeros.
+    and hashable; equality ignores leading and trailing zeros.  The hash
+    is computed on first use and kept in the ``_hash`` slot, as ``Poly``
+    keeps its own: the operator memos hash compositions in every key.
     """
 
-    __slots__ = ("lo", "parts", "n")
+    __slots__ = ("lo", "parts", "n", "_hash")
 
     def __init__(self, lo: int, parts: Iterable[int]):
         parts = tuple(int(p) for p in parts)
@@ -60,7 +62,12 @@ class Composition:
         return self.lo == other.lo and self.parts == other.parts
 
     def __hash__(self) -> int:
-        return hash((self.lo, self.parts))
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.lo, self.parts))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __repr__(self) -> str:
         return f"Composition({self.lo}, {list(self.parts)})"

@@ -17,9 +17,12 @@ equality is decidable.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .glaction import (
     KeySituation,
     Side,
+    _key_situation,
     apply_E_oracle,
     apply_F_oracle,
     decompose_over,
@@ -239,18 +242,37 @@ def _counit(ks: KeySituation, side: str, first, second) -> QuotientElement:
     return presentation(ks.side(side).base).normal_form(acc)
 
 
+# The trace maps close the same unit against every basis vector: one
+# operator-calculus pass asks for 24 units 100 times.  The memo holds the
+# canonical coefficient reps, not elements, so it keeps no presentation
+# alive and stays valid when the presentation cache is cleared.  Its keys
+# are a key situation's (nu, i) and a side: 2 * 504 on the default verify
+# window at n = 5, which 1 024 entries hold.
+@lru_cache(maxsize=1024)
+def _unit_reps(nu, i: int, side: str) -> tuple:
+    """((r, s), rep) of the canonical entries of one side's unit."""
+    ks = _key_situation(i, nu)
+    unit = PowerBasisTensor.from_pairs(ks, side, _unit_pairs(ks, ks.side(side)))
+    return tuple((rs, c.rep) for rs, c in unit.coeffs.items())
+
+
+def _unit(ks: KeySituation, side: str) -> PowerBasisTensor:
+    """One side's unit, its memoised reps wrapped in the current presentation."""
+    base = presentation(ks.side(side).base)
+    coeffs = {
+        rs: QuotientElement(base, rep) for rs, rep in _unit_reps(ks.nu, ks.i, side)
+    }
+    return PowerBasisTensor(ks, side, coeffs)
+
+
 def unit_iota_prime(ks: KeySituation) -> PowerBasisTensor:
     """Casimir element of the nu-side pairing, canonicalized."""
-    return PowerBasisTensor.from_pairs(
-        ks, "nu", _unit_pairs(ks, ks.side("nu"))
-    )
+    return _unit(ks, "nu")
 
 
 def unit_iota(ks: KeySituation) -> PowerBasisTensor:
     """Casimir element of the nu_prime-side pairing, canonicalized."""
-    return PowerBasisTensor.from_pairs(
-        ks, "nu_prime", _unit_pairs(ks, ks.side("nu_prime"))
-    )
+    return _unit(ks, "nu_prime")
 
 
 def counit_eps(ks: KeySituation, first, second=None) -> QuotientElement:
@@ -375,12 +397,13 @@ def adjunction_report(n: int, window) -> Report:
                         ok_central = False
             # naturality of the hom-space isomorphism under multiplication
             xk = Poly.var(ks.n, ks.k)
+            delta_xk = delta(ks, xk)
             for c in base.basis():
                 lhs = delta(ks, xk * c.rep)
                 rhs = ModuleHom(
                     ks,
                     "nu",
-                    [base.normal_form(v.rep * c.rep) for v in delta(ks, xk).values],
+                    [base.normal_form(v.rep * c.rep) for v in delta_xk.values],
                 )
                 if lhs != rhs:
                     ok_linear = False

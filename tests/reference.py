@@ -5,7 +5,8 @@ can be checked against something that shares no code with them.  From
 ``coinv`` they take only the data types ``Poly``, ``Q``, ``grlex_key``
 and ``Composition``.
 
-Block invariance is restated as being fixed by every block permutation.
+Block invariance is restated as being fixed by every block permutation,
+both as a whole and term by term.
 
 The orbit-sum quotient echelons an ideal's degree slices in the orbit-sum
 basis of P_nu, which is right for any homogeneous ideal.  The package
@@ -80,6 +81,22 @@ def block_group(nu: Composition) -> list:
 def is_fixed_by_block_group(f: Poly, nu: Composition) -> bool:
     """Whether every permutation in the block group of ``nu`` fixes ``f``."""
     return all(permute(f, w) == f for w, _ in block_group(nu))
+
+
+def is_block_invariant(f: Poly, nu: Composition) -> bool:
+    """Whether ``f`` is fixed by the block group of ``nu``, term by term.
+
+    The group permutes exponents, so ``f`` is fixed exactly when every
+    rearrangement of a term's exponent within the blocks carries that
+    term's coefficient.
+    """
+    spans = block_spans(nu)
+    for exp, c in f.terms.items():
+        segments = (itertools.permutations(exp[s:t]) for s, t in spans)
+        for images in itertools.product(*segments):
+            if f.terms.get(sum(images, ())) != c:
+                return False
+    return True
 
 
 def symmetrize(f: Poly, nu: Composition) -> Poly:

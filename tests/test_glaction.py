@@ -27,7 +27,6 @@ from coinv.glaction import (
 from coinv.polynomials import Poly, Q, e_block
 from coinv.quotients import (
     _standard_presentation,
-    is_block_invariant,
     presentation,
 )
 from coinv.shapes import (
@@ -45,6 +44,7 @@ from reference import (
     eps_nu,
     eps_pair,
     exact_divide,
+    is_block_invariant,
     symmetrize,
 )
 
@@ -651,6 +651,45 @@ def test_relation_report_shape_cut():
     for mu in partitions_of(3):
         rep = relation_report(3, (1, 3), Composition(1, list(mu.parts)))
         assert rep.passed
+
+
+def _D_off_by_one(true_D):
+    # D_i read off the part at i + 1
+    return lambda i, nu, z: true_D(i + 1, nu, z)
+
+
+def _doubled_F(true_step):
+    def step(op, i, nu, z):
+        res = true_step(op, i, nu, z)
+        if op == "F" and res is not None:
+            return res[0], res[1] * 2
+        return res
+
+    return step
+
+
+@pytest.mark.parametrize(
+    "name, mutant, broken",
+    [
+        (
+            "apply_D",
+            _D_off_by_one,
+            {
+                "commutator_EF_is_weight_difference",
+                "commutator_DE_scales_E",
+                "commutator_DF_scales_F",
+            },
+        ),
+        # every check but [E, F] is homogeneous in F, so only it sees a 2
+        ("_apply_component", _doubled_F, {"commutator_EF_is_weight_difference"}),
+    ],
+)
+def test_relation_report_can_fail(monkeypatch, name, mutant, broken):
+    # each check reads the single steps built once per family; a wrong
+    # step must still fail the checks that depend on it, and only those
+    monkeypatch.setattr(glaction, name, mutant(getattr(glaction, name)))
+    rep = relation_report(3, (1, 3))
+    assert {c.name for c in rep.checks if not c.passed} == broken
 
 
 def test_ideal_invariance_small():

@@ -3,7 +3,11 @@
 A memo whose key holds a ``Poly`` grows with the input: one sweep can
 feed it hundreds of thousands of distinct polynomials.  So every
 ``lru_cache`` in the package on a function with a parameter annotated
-``Poly`` must set a finite ``maxsize``.
+``Poly`` must set a finite ``maxsize``.  A memo is either a decorator or
+a module-level ``name = lru_cache(...)(callable)`` assignment; the
+latter takes a Poly when the callable (a function, or a class through
+its ``__init__``) does, and counts as taking one when the guard cannot
+see the callable.
 """
 
 import ast
@@ -58,15 +62,70 @@ def _is_bounded(dec) -> bool | None:
     return isinstance(size, ast.Constant) and type(size.value) is int
 
 
-def unbounded_poly_memos(source: str) -> list:
-    """Functions that take a Poly and carry an unbounded memo."""
-    out = []
-    for node in ast.walk(ast.parse(source)):
-        if not isinstance(node, ast.FunctionDef) or not _takes_poly(node):
+def _assigned_memos(tree: ast.Module):
+    """(name, bounded, wrapped callable) of each module-level
+    ``name = lru_cache(...)(callable)`` or ``name = cache(callable)``."""
+    for node in tree.body:
+        if not (
+            isinstance(node, ast.Assign)
+            and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Name)
+            and isinstance(node.value, ast.Call)
+            and len(node.value.args) == 1
+        ):
             continue
-        if any(_is_bounded(d) is False for d in node.decorator_list):
-            out.append(node.name)
-    return sorted(out)
+        # lru_cache(maxsize=...)(fn), or lru_cache(fn) and cache(fn) bare
+        bounded = _is_bounded(node.value.func)
+        if bounded is not None:
+            yield node.targets[0].id, bounded, node.value.args[0]
+
+
+def _callable_takes_poly(tree: ast.Module, target) -> bool:
+    """Whether the named function or class of the module takes a Poly;
+    True for a callable the guard cannot see."""
+    name = getattr(target, "id", None)
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name == name:
+            return _takes_poly(node)
+        if isinstance(node, ast.ClassDef) and node.name == name:
+            return any(
+                isinstance(sub, ast.FunctionDef)
+                and sub.name == "__init__"
+                and _takes_poly(sub)
+                for sub in node.body
+            )
+    return True
+
+
+def memos(source: str) -> dict:
+    """{name: (bounded, takes Poly)} for every memo of a module."""
+    tree = ast.parse(source)
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            for d in node.decorator_list:
+                bounded = _is_bounded(d)
+                if bounded is not None:
+                    out[node.name] = (bounded, _takes_poly(node))
+    for name, bounded, target in _assigned_memos(tree):
+        out[name] = (bounded, _callable_takes_poly(tree, target))
+    return out
+
+
+def unbounded_poly_memos(source: str) -> list:
+    """Memos that take a Poly and are unbounded."""
+    return sorted(
+        name
+        for name, (bounded, takes_poly) in memos(source).items()
+        if takes_poly and not bounded
+    )
+
+
+def _package_memos() -> dict:
+    out = {}
+    for path in SRC.glob("*.py"):
+        out.update(memos(path.read_text()))
+    return out
 
 
 def test_checker_finds_unbounded_memos():
@@ -90,8 +149,27 @@ def test_checker_finds_unbounded_memos():
         "class K:\n"
         "    @lru_cache(maxsize=None)\n"
         "    def m(self, f: Poly): pass\n"
+        "    def __init__(self, f: Poly): pass\n"
+        "class L:\n"
+        "    def __init__(self, i: int): pass\n"
+        "k_memo = lru_cache(maxsize=None)(K)\n"
+        "k_bounded = lru_cache(maxsize=32)(K)\n"
+        "l_memo = lru_cache(maxsize=None)(L)\n"
+        "a_memo = functools.lru_cache(None)(a)\n"
+        "b_memo = lru_cache(b)\n"
+        "g_memo = cache(g)\n"
+        "unseen_memo = lru_cache(maxsize=None)(imported)\n"
+        "not_a_memo = sorted(a)\n"
     )
-    assert unbounded_poly_memos(source) == ["a", "c", "e", "h", "m"]
+    assert unbounded_poly_memos(source) == [
+        "a", "a_memo", "c", "e", "h", "k_memo", "m", "unseen_memo"
+    ]
+    found = memos(source)
+    assert found["k_bounded"] == (True, True)
+    assert found["l_memo"] == (False, False)
+    assert found["b_memo"] == (True, True)
+    assert found["g_memo"] == (False, False)
+    assert "not_a_memo" not in found
 
 
 def test_package_memos_on_polynomials_are_bounded():
@@ -105,11 +183,18 @@ def test_package_memos_on_polynomials_are_bounded():
 
 def test_guard_covers_the_package_memos_on_polynomials():
     # the guard must see the memos it exists for
-    covered = set()
-    for path in SRC.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.FunctionDef) and _takes_poly(node) and any(
-                _is_bounded(d) is not None for d in node.decorator_list
-            ):
-                covered.add(node.name)
+    covered = {name for name, (_, takes_poly) in _package_memos().items() if takes_poly}
     assert {"_component_image", "_normal_form_rep"} <= covered
+
+
+# Memos of the operator path that are bounded although they take no Poly:
+# their keys grow with the key situations, kernels and exponents a sweep
+# visits.  The assignment-form memo of key situations is among them.
+BOUNDED_WITHOUT_POLY = {"_canonical", "_kernel", "_key_situation", "_unit_reps"}
+
+
+def test_operator_path_memos_have_a_finite_size():
+    found = _package_memos()
+    assert {name: found.get(name) for name in BOUNDED_WITHOUT_POLY} == {
+        name: (True, False) for name in BOUNDED_WITHOUT_POLY
+    }

@@ -19,7 +19,6 @@ from coinv.quotients import (
     _r_dims,
     coinvariant_generators,
     ideals_equal,
-    is_block_invariant,
     is_nonzero,
     presentation,
     quotient_identity_report,
@@ -43,6 +42,7 @@ from reference import (
     antiinv_divide,
     canonical_exponents,
     eps_nu,
+    is_block_invariant,
     is_fixed_by_block_group,
     orbit_sum,
     symmetrize,

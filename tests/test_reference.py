@@ -7,7 +7,7 @@ from pathlib import Path
 TESTS = Path(__file__).resolve().parent
 REFERENCE_ONLY = {
     "symmetrize", "antisymmetrize", "exact_divide", "eps_nu", "eps_pair", "eps_full",
-    "block_group", "antiinv_divide", "is_fixed_by_block_group",
+    "block_group", "antiinv_divide", "is_fixed_by_block_group", "is_block_invariant",
     # the orbit-sum quotient, the package's former second route
     "_slice", "_coordinatize", "_is_canonical", "block_spans", "canonical_exponents",
     "orbit_sum", "insert_integer_row", "orbit_sum_slice", "OrbitSumQuotient",

@@ -7,7 +7,7 @@ from coinv.glaction import (
     push,
 )
 from coinv.polynomials import Poly, Q
-from coinv.quotients import presentation
+from coinv.quotients import _standard_presentation, presentation
 from coinv.shapes import Composition, compositions_of
 from coinv.traces import (
     ModuleHom,
@@ -161,6 +161,35 @@ def test_tensor_pairs_roundtrip():
         t = unit_iota(ks)
         again = PowerBasisTensor.from_pairs(ks, "nu_prime", t.pairs())
         assert again == t
+
+
+def test_unit_cache_survives_presentation_cache_clear():
+    ks = KeySituation(1, comp(2, 1))
+    units = (
+        (ks.side("nu"), unit_iota_prime, trace_F, apply_F_oracle),
+        (ks.side("nu_prime"), unit_iota, trace_E, apply_E_oracle),
+    )
+
+    def block_sum(side):
+        return sum(
+            (Poly.var(3, v) for v in side.base.block_range(side.block)),
+            Poly.zero(3),
+        )
+
+    before = [(unit(ks), trace(ks, block_sum(side))) for side, unit, trace, _ in units]
+    _standard_presentation.cache_clear()
+    for (side, unit, trace, oracle), (old_unit, old_trace) in zip(units, before):
+        new_unit, new_trace = unit(ks), trace(ks, block_sum(side))
+        # the memoised reps come back in the presentation built after the clear
+        base = presentation(side.base)
+        assert new_unit.coeffs
+        assert all(c.pres is base for c in new_unit.coeffs.values())
+        assert new_unit == PowerBasisTensor.from_pairs(ks, side.name, new_unit.pairs())
+        assert new_unit.pairs() == old_unit.pairs()
+        assert new_unit != old_unit  # its elements' presentation is gone
+        assert new_trace.rep == old_trace.rep
+        assert new_trace.pres is not old_trace.pres
+        assert new_trace == oracle(ks, base.normal_form(block_sum(side)))
 
 
 def test_middle_multiplication_side_independent():
