@@ -74,9 +74,9 @@ SUITE_NMAX = 5
 # and "--suite all --n 3" takes 11 s on 56 and 120 s on 220.  At n = 5
 # on the default window each suite alone took: identities 2.6 s,
 # ideals-equal 29 s, dims 0.4 s, relations 41-46 s (51-54 MB),
-# ideal-invariance 108 s (31 MB), weights 0.4 s, hilbert 0.6 s; "all"
-# took 214 s.  A later run, on a host about 2.3x slower, measured traces
-# at 30 s and 25 MB and "all" at 442 s and 220 MB.
+# ideal-invariance 16.6 s (30 MB), weights 0.4 s, hilbert 0.6 s; "all"
+# took 86 s (57 MB).  A run on a host about 2.3x slower measured traces
+# at 30 s and 25 MB.
 VERIFY_COMPOSITION_LIMIT = 250
 
 SUITES = (

@@ -1,5 +1,6 @@
 import random
 from functools import reduce
+from math import comb
 
 import pytest
 
@@ -41,10 +42,14 @@ from coinv.shapes import (
 
 from reference import (
     antisymmetrize,
+    block_spans,
+    canonical_exponents,
     eps_nu,
     eps_pair,
     exact_divide,
+    insert_integer_row,
     is_block_invariant,
+    orbit_sum,
     symmetrize,
 )
 
@@ -718,6 +723,73 @@ def test_ideal_invariance_check_can_fail(monkeypatch, op, broken):
     assert results == {
         "lowering_preserves_cut_ideals": broken != "lowering_preserves_cut_ideals",
         "raising_preserves_cut_ideals": broken != "raising_preserves_cut_ideals",
+    }
+
+
+def _merged(nu: Composition, i: int) -> Composition:
+    """nu with block i+1 moved into block i."""
+    parts = [nu[j] for j in range(1, nu.n + 1)]
+    parts[i - 1] += parts[i]
+    parts[i] = 0
+    return Composition(1, parts)
+
+
+def test_module_basis_is_free_over_the_merged_invariants():
+    # P_nu is free over P_sigma, sigma merging blocks i and i+1, on the
+    # basis the ideal invariance check multiplies its generators by: in
+    # every degree, the products m * (sigma orbit sum) are independent
+    # and exactly as many as the canonical exponents of P_nu
+    for n in range(1, 5):
+        for nu in compositions_of(n, (1, n)):
+            spans = block_spans(nu)
+            for i in range(1, n):
+                basis = glaction._module_basis(nu, i)
+                assert len(basis) == comb(nu[i] + nu[i + 1], nu[i])
+                sigma = block_spans(_merged(nu, i))
+                for d in range(n * (n - 1) // 2 + 1):
+                    col_of = {
+                        e: j for j, e in enumerate(canonical_exponents(spans, n, d))
+                    }
+                    rows = [
+                        m * orbit_sum(sigma, n, e)
+                        for m in basis
+                        if m.degree() // 2 <= d
+                        for e in canonical_exponents(sigma, n, d - m.degree() // 2)
+                    ]
+                    assert len(rows) == len(col_of), (nu, i, d)
+                    pivots: dict = {}
+                    for row in rows:
+                        insert_integer_row(
+                            pivots,
+                            {col_of[e]: c for e, c in row.terms.items() if e in col_of},
+                        )
+                    assert len(pivots) == len(rows), (nu, i, d)
+
+
+def test_ideal_invariance_check_reaches_past_the_generator_degrees(monkeypatch):
+    # a lowering step that goes wrong only on inputs above the largest
+    # generator degree of its source; a sweep whose products stop at that
+    # degree never sees it.  At mu = 1^4 it bites at nu = (2,1,1), i = 1:
+    # a degree-3 generator times the basis element x1*x2 has degree 5,
+    # against a largest generator degree of 4
+    mu = comp(1, 1, 1, 1)
+    true_F = glaction.apply_F_poly
+
+    def wrong_above_cap(ks, f):
+        image = true_F(ks, f)
+        cap = max(g.degree() for g in presentation(ks.nu, mu).generators)
+        if f.degree() > cap:
+            d = f.degree() + 2 * (ks.a - ks.b)
+            basis = presentation(ks.nu_prime, mu).graded_basis(d)
+            if basis:
+                image = image + basis[0].rep
+        return image
+
+    monkeypatch.setattr(glaction, "apply_F_poly", wrong_above_cap)
+    rep = ideal_invariance_check(mu, (1, 3))
+    assert {c.name: c.passed for c in rep.checks} == {
+        "lowering_preserves_cut_ideals": False,
+        "raising_preserves_cut_ideals": True,
     }
 
 
