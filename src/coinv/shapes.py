@@ -9,6 +9,7 @@ for block bookkeeping and are kept.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Iterator, Sequence
 
 
@@ -24,8 +25,8 @@ class Composition:
     __slots__ = ("lo", "parts", "n", "_hash")
 
     def __init__(self, lo: int, parts: Iterable[int]):
-        parts = tuple(int(p) for p in parts)
-        if any(p < 0 for p in parts):
+        parts = tuple(map(int, parts))
+        if parts and min(parts) < 0:
             raise ValueError(f"negative part in {parts}")
         # canonical form: strip zero margins, keeping absolute indices
         start, stop = 0, len(parts)
@@ -147,13 +148,13 @@ class Partition:
     __slots__ = ("parts", "n")
 
     def __init__(self, parts: Iterable[int]):
-        parts = tuple(int(p) for p in parts)
-        if any(p < 0 for p in parts):
+        parts = tuple(map(int, parts))
+        if parts and min(parts) < 0:
             raise ValueError(f"negative part in {parts}")
-        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+        if not all(map(operator.ge, parts, parts[1:])):
             raise ValueError(f"parts not weakly decreasing: {parts}")
-        while parts and parts[-1] == 0:
-            parts = parts[:-1]
+        if parts and not parts[-1]:
+            parts = parts[: parts.index(0)]  # the zeros are a tail
         object.__setattr__(self, "parts", parts)
         object.__setattr__(self, "n", sum(parts))
 

@@ -24,6 +24,15 @@ one process:
   ``kostka`` does not sort its content: the row condition ties a letter
   to the ones before it, and that its count is still symmetric in the
   content is a theorem the tests check.
+
+Each request first asks ``_vanishes`` whether it has any filling at all:
+it has none exactly when the shape does not dominate the sorted content
+(see there), and then it is answered before any strip is grown or any
+column filled.  The enumerators build each ``Tableau``
+through ``Tableau._clean``, with the shape they were asked for and the
+row tuples as grown, and skip the checks of ``Tableau(rows)``; the
+public constructor, which the CLI, JSON input and the tests use, keeps
+all of them.
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ import itertools
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .shapes import Composition, Partition, sort_to_partition
+from .shapes import Composition, Partition, dominates, sort_to_partition
 
 
 class IntPoly:
@@ -137,6 +146,16 @@ class Tableau:
         object.__setattr__(self, "rows", tuple(r for r in rows if r))
         object.__setattr__(self, "shape", shape)
 
+    @classmethod
+    def _clean(cls, shape: Partition, rows: tuple) -> "Tableau":
+        """The enumerators' path, with no checks: the caller promises that
+        ``rows`` is a tuple of non-empty int tuples whose lengths are the
+        parts of ``shape``."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "rows", rows)
+        object.__setattr__(t, "shape", shape)
+        return t
+
     def __setattr__(self, name, value):
         raise AttributeError("Tableau is immutable")
 
@@ -180,6 +199,24 @@ def _column_lengths(lam: Partition) -> tuple:
     return lam.transpose().parts
 
 
+def _vanishes(lam: Partition, nu: Composition) -> bool:
+    """Whether no filling of shape ``lam`` has content ``nu``, of either kind.
+
+    Semistandard: ``K_{lam nu} != 0`` exactly when ``lam`` dominates the
+    sorted content (Macdonald I.7).  Column-strict: a filling is a 0-1
+    matrix with a row per letter, summing to ``nu``, and a column per
+    column of the shape, summing to ``lam'``; by Gale-Ryser such a matrix
+    exists exactly when ``lam'' = lam`` dominates the sorted ``nu``.  So
+    one test decides both, and it is exact: no answer changes.
+    """
+    return lam.n != nu.n or not dominates(lam.parts, sorted(nu.parts, reverse=True))
+
+
+def _flat(rows: tuple) -> tuple:
+    """Row-major entry sequence, the sort key of both enumerators."""
+    return tuple(itertools.chain.from_iterable(rows))
+
+
 def count_column_strict(lam: Partition, nu: Composition) -> int:
     """Fillings of the shape with content ``nu``, strict down columns only.
 
@@ -188,7 +225,7 @@ def count_column_strict(lam: Partition, nu: Composition) -> int:
     ``nu[i]`` times.  The count depends only on the multiset of the
     letter counts (see the module docstring).
     """
-    if lam.n != nu.n:
+    if _vanishes(lam, nu):
         return 0
     counts = sorted((nu[i] for i in nu.indices() if nu[i] > 0), reverse=True)
     return _column_strict_completions(_column_lengths(lam), tuple(counts))
@@ -223,26 +260,19 @@ def enumerate_column_strict(lam: Partition, nu: Composition) -> list:
 
     Returned sorted lexicographically by row-major entry sequence.
     """
-    if lam.n != nu.n:
+    if _vanishes(lam, nu):
         return []
     cols = _column_lengths(lam)
     support = [i for i in nu.indices() if nu[i] > 0]
     counts = [nu[i] for i in support]
-    if not cols:
-        return [Tableau([])] if nu.n == 0 else []
-
-    results = []
+    # columns are longest first, so the ones reaching row r are the first lam[r]
+    row_spans = tuple(enumerate(lam.parts))
+    found = []
 
     def fill(c: int, remaining: list, chosen: list):
         if c == len(cols):
-            if any(remaining):
-                return
-            n_rows = max(len(s) for s in chosen)
-            rows = [
-                [chosen[j][r] for j in range(len(chosen)) if len(chosen[j]) > r]
-                for r in range(n_rows)
-            ]
-            results.append(Tableau(rows))
+            # the columns took n letters, each one still left: none remain
+            found.append(tuple(tuple(col[r] for col in chosen[:k]) for r, k in row_spans))
             return
         length = cols[c]
         avail = [j for j, k in enumerate(remaining) if k > 0]
@@ -256,8 +286,8 @@ def enumerate_column_strict(lam: Partition, nu: Composition) -> list:
                 remaining[j] += 1
 
     fill(0, counts, [])
-    results.sort(key=lambda t: tuple(v for row in t.rows for v in row))
-    return results
+    found.sort(key=_flat)
+    return [Tableau._clean(lam, rows) for rows in found]
 
 
 # ----------------------------------------------------------------------
@@ -297,7 +327,7 @@ def kostka(lam: Partition, nu: Composition) -> int:
     Grown entry by entry, in the order of the content: the boxes holding
     the i-th smallest entry form a horizontal strip.
     """
-    if lam.n != nu.n:
+    if _vanishes(lam, nu):
         return 0
     target = lam.parts
     states = {(0,) * len(target): 1}
@@ -307,25 +337,23 @@ def kostka(lam: Partition, nu: Composition) -> int:
             for ext in _horizontal_extensions(shape, nu[i], target):
                 new[ext] = new.get(ext, 0) + ways
         states = new
-        if not states:
-            return 0
     return states.get(target, 0)
 
 
 def _semistandard_rows(lam: Partition, nu: Composition) -> list:
-    """Row lists of the semistandard fillings, unsorted.
+    """Row tuples of the semistandard fillings, unsorted.
 
     Grown one letter at a time, like ``kostka``: the boxes holding the
     i-th smallest entry form a horizontal strip of size ``nu[i]``, and
     each strip appends that entry to the rows it extends.
     """
-    if lam.n != nu.n:
+    if _vanishes(lam, nu):
         return []
     target = lam.parts
     letters = [i for i in nu.indices() if nu[i] > 0]
     results = []
 
-    def grow(k: int, shape: tuple, rows: list):
+    def grow(k: int, shape: tuple, rows: tuple):
         if k == len(letters):
             results.append(rows)
             return
@@ -334,10 +362,10 @@ def _semistandard_rows(lam: Partition, nu: Composition) -> list:
             grow(
                 k + 1,
                 ext,
-                [row + [i] * (new - old) for row, old, new in zip(rows, shape, ext)],
+                tuple(row + (i,) * (new - old) for row, old, new in zip(rows, shape, ext)),
             )
 
-    grow(0, (0,) * len(target), [[] for _ in target])
+    grow(0, (0,) * len(target), ((),) * len(target))
     return results
 
 
@@ -347,9 +375,9 @@ def enumerate_semistandard(lam: Partition, nu: Composition) -> list:
     Returned sorted lexicographically by row-major entry sequence, the
     order of ``enumerate_column_strict``.
     """
-    results = [Tableau(rows) for rows in _semistandard_rows(lam, nu)]
-    results.sort(key=lambda t: tuple(v for row in t.rows for v in row))
-    return results
+    found = _semistandard_rows(lam, nu)
+    found.sort(key=_flat)
+    return [Tableau._clean(lam, rows) for rows in found]
 
 
 # ----------------------------------------------------------------------

@@ -18,11 +18,17 @@ composition, then divides by the block difference product.  It equals
 the divided-difference chains of ``glaction.apply_F_poly`` and
 ``apply_E_poly`` by the coset argument of Bernstein, Gelfand and
 Gelfand (Russian Math. Surveys 28, 1973); no program path runs it.
+
+Two tableau counts restate their definitions too.  Lusztig's q-analogue
+of weight multiplicity is the Kostka-Foulkes polynomial with no charge in
+it, and the brute-force filling count tries every arrangement of the
+content in the boxes.
 """
 
 import functools
 import itertools
 import math
+from types import SimpleNamespace
 
 from coinv.polynomials import Poly, Q, grlex_key
 from coinv.shapes import Composition
@@ -50,6 +56,97 @@ def is_row_weak(t) -> bool:
     return all(
         row[c] <= row[c + 1] for row in t.rows for c in range(len(row) - 1)
     )
+
+
+def brute_force_fillings(shape, content: Composition) -> tuple:
+    """(column-strict, semistandard) fillings of ``shape`` with ``content``.
+
+    Every distinct arrangement of the letters in the boxes, read row by
+    row, is filtered by ``is_column_strict`` and then ``is_row_weak``.
+    """
+    shape = list(shape)
+    letters = [i for i in content.indices() for _ in range(content[i])]
+    if sum(shape) != len(letters):
+        return 0, 0
+    cuts = list(itertools.accumulate([0] + shape))
+    column_strict = semistandard = 0
+    for word in set(itertools.permutations(letters)):
+        t = SimpleNamespace(rows=[word[a:b] for a, b in zip(cuts, cuts[1:])])
+        if is_column_strict(t):
+            column_strict += 1
+            semistandard += is_row_weak(t)
+    return column_strict, semistandard
+
+
+# ----------------------------------------------------------------------
+# Lusztig's q-analogue of weight multiplicity
+#
+# K_{lam mu}(q) = sum over w in S_n of sign(w) P_q(w(lam + rho) - (mu + rho)),
+# with rho = (n-1, ..., 1, 0) and P_q the q-Kostant partition function:
+# the coefficient of q^k in P_q(v) counts the ways to write v as a sum of
+# k positive roots e_i - e_j, i < j, repeats allowed (Lusztig, Asterisque
+# 101-102, 1983; Macdonald III.6, Ex. 4).
+
+
+def _poly_add(a: list, b: tuple, shift: int = 0) -> None:
+    """a += q^shift b on coefficient lists."""
+    a.extend([0] * (len(b) + shift - len(a)))
+    for k, c in enumerate(b):
+        a[k + shift] += c
+
+
+@functools.lru_cache(maxsize=None)
+def q_kostant(v: tuple) -> tuple:
+    """Coefficients of the q-Kostant partition function at ``v``.
+
+    The roots e_1 - e_j take the first coordinate to zero: they are
+    v[0] of them, spread over j = 2..n, and what is left is a vector of
+    length n - 1.
+    """
+    if len(v) <= 1:
+        return () if any(v) else (1,)
+    if v[0] < 0 or sum(v) != 0:
+        return ()
+    out: list = []
+    rest = len(v) - 1
+    for cut in itertools.combinations(range(v[0] + rest - 1), rest - 1):
+        bounds = (-1, *cut, v[0] + rest - 1)
+        spread = (b - a - 1 for a, b in zip(bounds, bounds[1:]))
+        _poly_add(out, q_kostant(tuple(x + m for x, m in zip(v[1:], spread))), v[0])
+    return tuple(out)
+
+
+def lusztig_kostka_foulkes(lam, mu) -> tuple:
+    """Coefficients of K_{lam mu}(q) by Lusztig's alternating sum, trimmed.
+
+    ``lam`` and ``mu`` are partitions of one n, as sequences of parts.
+    Permutations are built one place at a time, and a branch is cut once
+    a partial sum of ``w(lam + rho) - (mu + rho)`` is negative, since
+    P_q vanishes off the cone of positive root sums.
+    """
+    n = sum(lam)
+    if sum(mu) != n:
+        raise ValueError("lam and mu must have one total")
+    a = [p + n - 1 - k for k, p in enumerate(list(lam) + [0] * (n - len(lam)))]
+    b = [p + n - 1 - k for k, p in enumerate(list(mu) + [0] * (n - len(mu)))]
+    out: list = []
+
+    def place(k: int, left: list, v: tuple, partial: int, sign: int):
+        if k == n:
+            p = q_kostant(v)
+            _poly_add(out, p if sign > 0 else tuple(-c for c in p))
+            return
+        for pos, j in enumerate(left):
+            x = a[j] - b[k]
+            if partial + x >= 0:
+                # j before the pos smaller indices still left: pos inversions
+                place(k + 1, left[:pos] + left[pos + 1:], v + (x,), partial + x,
+                      -sign if pos % 2 else sign)
+
+    place(0, list(range(n)), (), 0, 1)
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
 
 
 # ----------------------------------------------------------------------

@@ -11,6 +11,8 @@ REFERENCE_ONLY = {
     # the orbit-sum quotient, the package's former second route
     "_slice", "_coordinatize", "_is_canonical", "block_spans", "canonical_exponents",
     "orbit_sum", "insert_integer_row", "orbit_sum_slice", "OrbitSumQuotient",
+    # the tableau references: Lusztig's q-analogue and the brute-force count
+    "q_kostant", "lusztig_kostka_foulkes", "brute_force_fillings",
 }
 
 

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -90,7 +91,7 @@ class TestComposition:
         assert r.block_range(2) == range(1, 2)
 
     def test_negative_part_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("negative part in (1, -1)")):
             Composition(0, [1, -1])
 
     def test_json_roundtrip(self):
@@ -102,10 +103,16 @@ class TestComposition:
 class TestPartition:
     def test_trailing_zeros_trimmed(self):
         assert Partition([2, 1, 0, 0]) == Partition([2, 1])
+        assert Partition([3, 1, 0, 0]).parts == (3, 1)
 
     def test_rejects_increase(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("parts not weakly decreasing: (1, 2)")):
             Partition([1, 2])
+        # the sign is checked first, wherever the negative part sits
+        with pytest.raises(ValueError, match=re.escape("negative part in (2, -1)")):
+            Partition([2, -1])
+        with pytest.raises(ValueError, match=re.escape("negative part in (-1, 2)")):
+            Partition([-1, 2])
 
     def test_part_indexing(self):
         p = Partition([3, 1])

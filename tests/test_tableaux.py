@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 
@@ -14,7 +15,7 @@ from coinv.tableaux import (
     kostka_foulkes,
 )
 
-from reference import is_column_strict, is_row_weak
+from reference import brute_force_fillings, is_column_strict, is_row_weak, lusztig_kostka_foulkes
 
 
 def comps(n, width=None):
@@ -146,6 +147,42 @@ class TestEnumerate:
                         assert len(set(got)) == len(got)
 
 
+class TestBruteForceCounts:
+    def test_counts_match_brute_force(self):
+        # every arrangement of the content in the boxes, filtered by the
+        # definitions; about 0.4 s on a 2-core host, zero answers included
+        started = time.perf_counter()
+        pairs = [
+            (lam, nu)
+            for n in range(0, 6)
+            for lam in partitions_of(n)
+            for nu in compositions_of(n, (-1, n - 1))
+        ]
+        pairs += [(lam, Composition(1, mu.parts)) for lam in partitions_of(6) for mu in partitions_of(6)]
+        zeros = 0
+        for lam, nu in pairs:
+            cs, ss = brute_force_fillings(lam, nu)
+            zeros += cs == 0
+            assert count_column_strict(lam, nu) == cs, (lam, nu)
+            assert len(enumerate_column_strict(lam, nu)) == cs, (lam, nu)
+            assert kostka(lam, nu) == ss, (lam, nu)
+            assert len(enumerate_semistandard(lam, nu)) == ss, (lam, nu)
+        assert zeros and zeros < len(pairs)
+        assert time.perf_counter() - started < 10
+
+
+class TestTrustedConstruction:
+    def test_enumerated_tableaux_revalidate(self):
+        # the enumerators skip Tableau's checks; every result must pass them
+        for n in range(0, 7):
+            for nu in comps(n):
+                for lam in partitions_of(n):
+                    for t in enumerate_column_strict(lam, nu) + enumerate_semistandard(lam, nu):
+                        checked = Tableau(t.rows)
+                        assert t == checked and hash(t) == hash(checked), t
+                        assert t.shape == lam and t.content() == nu, (t, lam, nu)
+
+
 class TestEnumerateSemistandard:
     def test_matches_column_strict_filter(self):
         # reference route: the definition, with the order included
@@ -263,6 +300,19 @@ class TestKostkaFoulkes:
                     assert kostka_foulkes(tau, Composition(1, mu.parts)) == IntPoly(coeffs), (
                         tau, mu,
                     )
+
+    def test_matches_lusztig_q_analogue(self):
+        # a route with no charge in it; about 0.35 s on a 2-core host
+        started = time.perf_counter()
+        zeros = 0
+        for n in range(0, 8):
+            for tau in partitions_of(n):
+                for mu in partitions_of(n):
+                    want = lusztig_kostka_foulkes(tau.parts, mu.parts)
+                    zeros += not want
+                    assert kostka_foulkes(tau, mu.parts).coeffs == want, (tau, mu)
+        assert zeros == 201
+        assert time.perf_counter() - started < 10
 
     def test_content_sorted_first(self):
         a = kostka_foulkes(Partition([3, 1]), Composition(1, [1, 2, 1]))
