@@ -223,7 +223,7 @@ def cmd_dim(args) -> int:
     nu = parse_composition(args.nu)
     check_size(nu.n, QUOTIENT_NMAX)
     mu = parse_mu(args.mu, nu.n)
-    pres = presentation(nu, mu, form=args.form)
+    pres = presentation(nu, mu)
     d = pres.dim()
     if mu is None:
         cross = _orbit_count(nu)
@@ -252,7 +252,7 @@ def cmd_hilbert(args) -> int:
     nu = parse_composition(args.nu)
     check_size(nu.n, QUOTIENT_NMAX)
     mu = parse_mu(args.mu, nu.n)
-    series = presentation(nu, mu, form=args.form).hilbert()
+    series = presentation(nu, mu).hilbert()
     coeffs = list(series.coeffs)
     lines = [f"hilbert = {series}", f"coeffs = {coeffs}"]
     data = {
@@ -269,7 +269,7 @@ def cmd_basis(args) -> int:
     nu = parse_composition(args.nu)
     check_size(nu.n, QUOTIENT_NMAX)
     mu = parse_mu(args.mu, nu.n)
-    pres = presentation(nu, mu, form=args.form)
+    pres = presentation(nu, mu)
     if pres.is_zero_algebra:
         degrees = []
     elif args.degree is not None:
@@ -326,7 +326,7 @@ def cmd_act(args) -> int:
         except ZeroDivisionError:
             raise InputError("bad element JSON: zero denominator")
     try:
-        family = WeightFamily.unit(nu, window, mu, elem, form=args.form)
+        family = WeightFamily.unit(nu, window, mu, elem)
     except WindowOverflowError as exc:
         # exit 4 is for operator images; a start outside is bad input
         raise InputError(f"starting {exc}")
@@ -426,7 +426,7 @@ def _suite_ideals_equal(n: int, window: tuple) -> list:
     return [report]
 
 
-def _suite_dims(n: int, window: tuple, form: str) -> list:
+def _suite_dims(n: int, window: tuple) -> list:
     report = Report(f"dimension formulas, n={n}")
     regular = Composition(1, [1] * n)
     report.add(
@@ -449,7 +449,7 @@ def _suite_dims(n: int, window: tuple, form: str) -> list:
     for mu in partitions_of(n):
         lam = transpose(mu)
         for nu in compositions_of(n, window):
-            pres = presentation(nu, mu, form=form)
+            pres = presentation(nu, mu)
             d = pres.dim()
             expected = count_column_strict(lam, nu)
             if d != expected:
@@ -504,7 +504,7 @@ def _suite_traces(n: int, window: tuple) -> list:
     return [trace_map_report(n, window), adjunction_report(n, window)]
 
 
-def _center_table(n_max_val: int, form: str) -> tuple:
+def _center_table(n_max_val: int) -> tuple:
     """Rows (mu, nu, center dimension, simple count) for all n <= n_max_val."""
     rows = []
     ok = True
@@ -513,7 +513,7 @@ def _center_table(n_max_val: int, form: str) -> tuple:
         for mu in partitions_of(n):
             lam = transpose(mu)
             for nu in compositions_of(n, window):
-                d = presentation(nu, mu, form=form).dim()
+                d = presentation(nu, mu).dim()
                 c = count_column_strict(lam, nu)
                 match = d == c
                 ok = ok and match
@@ -565,7 +565,7 @@ def cmd_verify(args) -> int:
     builders = {
         "identities": lambda: _suite_identities(n, r_max),
         "ideals-equal": lambda: _suite_ideals_equal(n, window),
-        "dims": lambda: _suite_dims(n, window, args.form),
+        "dims": lambda: _suite_dims(n, window),
         "relations": lambda: _suite_relations(n, window),
         "ideal-invariance": lambda: _suite_ideal_invariance(n, window),
         "weights": lambda: _suite_weights(n, window),
@@ -580,7 +580,7 @@ def cmd_verify(args) -> int:
 
     table_rows = None
     if args.suite == "all":
-        table_rows, table_ok = _center_table(n, args.form)
+        table_rows, table_ok = _center_table(n)
         table_report = Report(f"center dimension table, n<={n}")
         table_report.add(
             "center_dimensions_count_simple_modules",
@@ -628,21 +628,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, form=True):
+    def common(p):
         p.add_argument(
             "--output", choices=("text", "json"), default="text",
             help="output format",
         )
-        if form:
-            p.add_argument(
-                "--form", choices=("h", "e"), default="e",
-                help="generator family for shape-cut ideals",
-            )
 
     p = sub.add_parser("present", help="print ideal generators")
     p.add_argument("--nu", required=True, help="composition, e.g. 1,2,1 or 2@0")
     p.add_argument("--mu", required=True, help="shape composition or 'regular'")
     common(p)
+    p.add_argument(
+        "--form", choices=("h", "e"), default="e",
+        help="generator family to print",
+    )
 
     p = sub.add_parser("dim", help="dimension with tableau cross-check")
     p.add_argument("--nu", required=True)
@@ -675,12 +674,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kostka", help="semistandard tableau count")
     p.add_argument("--lam", required=True, help="partition, e.g. 2,1")
     p.add_argument("--nu", required=True, help="content composition")
-    common(p, form=False)
+    common(p)
 
     p = sub.add_parser("kf", help="charge generating polynomial")
     p.add_argument("--tau", required=True, help="partition")
     p.add_argument("--mu", required=True, help="content composition")
-    common(p, form=False)
+    common(p)
 
     p = sub.add_parser("tableaux", help="enumerate fillings")
     p.add_argument("--lam", required=True)
@@ -689,7 +688,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--kind", choices=("column-strict", "semistandard"),
         default="column-strict",
     )
-    common(p, form=False)
+    common(p)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=SUITES, required=True)

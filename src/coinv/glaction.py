@@ -326,7 +326,7 @@ def _power_image(nu: Composition, i: int, r: int, side: str) -> Poly:
 def _apply_oracle(ks: KeySituation, z: QuotientElement, src: Side):
     """Move z off side src via decomposition over the target's power basis."""
     dst = ks.opposite(src)
-    target = presentation(dst.base, z.pres.mu, form=z.pres.form)
+    target = presentation(dst.base, z.pres.mu)
     acc = Poly.zero(ks.n)
     for r, zr in enumerate(decompose_over(ks, z.rep, dst.name)):
         if not zr.is_zero:
@@ -380,21 +380,20 @@ def _apply_component(op: str, i: int, nu: Composition, z: QuotientElement):
     """
     if op == "D":
         return nu, apply_D(i, nu, z)
-    mu, form = z.pres.mu, z.pres.form
-    res = _component_image(op, i, nu, mu, form, z.rep)
+    mu = z.pres.mu
+    res = _component_image(op, i, nu, mu, z.rep)
     if res is None:
         return None
     target_nu, rep = res
-    return target_nu, QuotientElement(presentation(target_nu, mu, form=form), rep)
+    return target_nu, QuotientElement(presentation(target_nu, mu), rep)
 
 
 @lru_cache(maxsize=32768)
-def _component_image(op: str, i: int, nu: Composition, mu, form, rep: Poly):
+def _component_image(op: str, i: int, nu: Composition, mu, rep: Poly):
     """(target_nu, normal-form rep of the image), or None for the zero map.
 
-    The image lies in the presentation of the source's shape and
-    generator form, so families of either form stay closed under the
-    operators.
+    The image lies in the standard presentation of the target weight and
+    the source's shape.
 
     The memo holds reps, not elements, so it keeps no presentation alive
     and stays valid when the presentation cache is cleared.  It is
@@ -418,7 +417,7 @@ def _component_image(op: str, i: int, nu: Composition, mu, form, rep: Poly):
         image = apply_E_poly(ks, rep)
     else:
         raise ValueError(f"unknown operator {op!r}")
-    return target_nu, presentation(target_nu, mu, form=form).normal_form(image).rep
+    return target_nu, presentation(target_nu, mu).normal_form(image).rep
 
 
 # ----------------------------------------------------------------------
@@ -429,19 +428,15 @@ class WeightFamily:
     """Finitely supported element of a direct sum of quotients.
 
     Components map compositions (supported inside the window) to
-    elements of the corresponding plain or shape-cut quotient.  ``form``
-    is the generator form ("e" or "h") of those quotients' presentations;
-    it defaults to the form of a given component, and plain quotients
-    are always "e".  Families combine only when n, window, shape and
-    form all agree.
+    elements of the corresponding plain or shape-cut quotient.  Families
+    combine only when n, window and shape all agree.
 
     ``_clean=True`` skips the checks, for results built from checked
-    families: the caller promises a Partition shape, a valid form and
-    weights of size n inside the window.  Zero components are still
-    dropped.
+    families: the caller promises a Partition shape and weights of size
+    n inside the window.  Zero components are still dropped.
     """
 
-    __slots__ = ("n", "window", "mu", "form", "components")
+    __slots__ = ("n", "window", "mu", "components")
 
     def __init__(
         self,
@@ -449,12 +444,11 @@ class WeightFamily:
         window: tuple,
         mu=None,
         components=None,
-        form=None,
         *,
         _clean: bool = False,
     ):
         if _clean:
-            self.n, self.window, self.mu, self.form = n, window, mu, form
+            self.n, self.window, self.mu = n, window, mu
             self.components = {
                 nu: z for nu, z in components.items() if not z.is_zero
             }
@@ -463,13 +457,6 @@ class WeightFamily:
         self.window = (int(window[0]), int(window[1]))
         # the shape as presentation() stores it
         self.mu = None if mu is None else sort_to_partition(mu)
-        if self.mu is None:
-            form = "e"
-        elif form is None:
-            form = next((z.pres.form for z in (components or {}).values()), "e")
-        if form not in ("e", "h"):
-            raise ValueError(f"unknown form {form!r}")
-        self.form = form
         comps = {}
         for nu, z in (components or {}).items():
             # checked before zeros are dropped: a weight outside is an
@@ -491,19 +478,14 @@ class WeightFamily:
         return not nu.parts or lo <= nu.lo and nu.hi <= hi
 
     @classmethod
-    def unit(
-        cls, nu: Composition, window: tuple, mu=None, elem=None, form: str = "e"
-    ):
-        """Family supported at one weight; elem defaults to 1.
-
-        ``form`` picks the generator form of a shape-cut presentation.
-        """
-        pres = presentation(nu, mu, form=form)
+    def unit(cls, nu: Composition, window: tuple, mu=None, elem=None):
+        """Family supported at one weight; elem defaults to 1."""
+        pres = presentation(nu, mu)
         if elem is None:
             elem = pres.one()
         elif isinstance(elem, Poly):
             elem = pres.normal_form(elem)
-        return cls(nu.n, window, mu, {nu: elem}, form)
+        return cls(nu.n, window, mu, {nu: elem})
 
     @property
     def is_zero(self) -> bool:
@@ -515,18 +497,14 @@ class WeightFamily:
         for nu, z in other.components.items():
             cur = comps.get(nu)
             comps[nu] = z if cur is None else cur + z
-        return WeightFamily(
-            self.n, self.window, self.mu, comps, self.form, _clean=True
-        )
+        return WeightFamily(self.n, self.window, self.mu, comps, _clean=True)
 
     def __sub__(self, other: "WeightFamily") -> "WeightFamily":
         return self + (other * -1)
 
     def __mul__(self, scalar) -> "WeightFamily":
         comps = {nu: z * scalar for nu, z in self.components.items()}
-        return WeightFamily(
-            self.n, self.window, self.mu, comps, self.form, _clean=True
-        )
+        return WeightFamily(self.n, self.window, self.mu, comps, _clean=True)
 
     __rmul__ = __mul__
 
@@ -539,7 +517,7 @@ class WeightFamily:
         )
 
     def _settings(self) -> tuple:
-        return self.n, self.window, self.mu, self.form
+        return self.n, self.window, self.mu
 
     def _compat(self, other: "WeightFamily") -> None:
         if self._settings() != other._settings():
@@ -562,9 +540,7 @@ class WeightFamily:
                 )
             cur = out.get(target_nu)
             out[target_nu] = image if cur is None else cur + image
-        return WeightFamily(
-            self.n, self.window, self.mu, out, self.form, _clean=True
-        )
+        return WeightFamily(self.n, self.window, self.mu, out, _clean=True)
 
     def to_json(self) -> list:
         out = []

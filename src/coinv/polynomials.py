@@ -286,10 +286,14 @@ class Poly:
         return out
 
     @classmethod
-    def from_json(cls, n: int, data: Iterable[dict]) -> "Poly":
-        """Inverse of ``to_json``.  Every number must be an integer, as a
-        JSON integer or a base-10 string; anything else is a ``ValueError``
-        rather than being truncated."""
+    def from_json(cls, n: int, data: list) -> "Poly":
+        """Inverse of ``to_json``.  ``data`` must be a list of terms, and
+        every number an integer, as a JSON integer or a base-10 string;
+        anything else is a ``ValueError`` rather than being truncated."""
+        if not isinstance(data, list):
+            raise ValueError(
+                f"expected a list of terms, got {type(data).__name__}"
+            )
         terms = {}
         for item in data:
             if not isinstance(item["exp"], (list, tuple)):

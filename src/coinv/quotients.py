@@ -8,13 +8,20 @@ columns of the quotient.  The canonical basis is the non-pivot set of
 the echelon of J's degree slice that pivots on the smallest column in
 the global graded-lex order.
 
+Each (nu, mu) has one standard presentation, ``presentation(nu, mu)``,
+on the plain or the e-form shape-cut (Tanisaki) generators.  The
+canonical basis and every normal form depend only on the ideal, not on
+the list that generates it, so the h-form list
+(``tanisaki_generators_h``) given to ``QuotientPresentation`` directly
+gives the same answers.
+
 Every generator list must contain Lambda+, the ideal of symmetric
 polynomials without constant term: it must hold e_1..e_n or h_1..h_n of
 all variables, either of which generates Lambda+.  The standard
-presentations do (the plain and e-form lists hold e_1..e_n, the h-form
-lists h_1..h_n), and ``QuotientPresentation`` refuses any other list
-with a ValueError.  Every quotient is then computed in the coinvariant
-algebra R = C[x]/(Lambda+), which has dimension n! and vanishes above
+presentations hold e_1..e_n, the h-form lists h_1..h_n, and
+``QuotientPresentation`` refuses any other list with a ValueError.
+Every quotient is then computed in the coinvariant algebra
+R = C[x]/(Lambda+), which has dimension n! and vanishes above
 degree n(n-1)/2.  That bound holds for every quotient, whatever its
 generators: ``hilbert`` sweeps the degrees up to it and ``_r_slice``
 returns an empty degree above it.  Monomials have memoised normal forms
@@ -581,10 +588,8 @@ class QuotientPresentation:
     ideal contains Lambda+.  So the generators must include e_1..e_n or
     h_1..h_n of all variables; any other list raises ValueError, after
     the per-generator checks.  ``mu``, the shape of a standard
-    presentation, is kept as a Partition.  ``form`` ("e" or "h") labels
-    the generator form of a standard presentation and is None for other
-    lists; it does not change the computation.  Every generator list
-    answers the dimension queries: R bounds the degrees of any quotient.
+    presentation, is kept as a Partition.  Every generator list answers
+    the dimension queries: R bounds the degrees of any quotient.
     """
 
     def __init__(
@@ -593,13 +598,11 @@ class QuotientPresentation:
         generators: Sequence[Poly],
         *,
         mu=None,
-        form=None,
         label: str = "",
     ):
         self.nu = nu
         self.n = nu.n
         self.mu = None if mu is None else sort_to_partition(mu)
-        self.form = form
         # a zero generator generates nothing
         self.generators = [g for g in generators if not g.is_zero]
         self.label = label or f"quotient over {nu!r}"
@@ -807,38 +810,28 @@ class QuotientElement:
 # presentation factory
 
 
-def presentation(nu: Composition, mu=None, *, form: str = "e") -> QuotientPresentation:
+def presentation(nu: Composition, mu=None) -> QuotientPresentation:
     """The cached standard presentation.
 
     With ``mu`` absent this is the plain partial coinvariant algebra;
-    otherwise the shape-cut quotient with the chosen generator form.
-    Other generator lists go to ``QuotientPresentation`` directly.
+    otherwise the shape-cut quotient on the e-form generators.  Other
+    generator lists go to ``QuotientPresentation`` directly.
     """
-    if mu is None:
-        return _standard_presentation(nu, None, "")
-    return _standard_presentation(nu, sort_to_partition(mu), form)
+    return _standard_presentation(
+        nu, None if mu is None else sort_to_partition(mu)
+    )
 
 
 @lru_cache(maxsize=None)
-def _standard_presentation(nu: Composition, mu, form: str):
+def _standard_presentation(nu: Composition, mu):
     if mu is None:
         return QuotientPresentation(
-            nu,
-            coinvariant_generators(nu),
-            form="e",
-            label=f"coinvariants of {nu!r}",
+            nu, coinvariant_generators(nu), label=f"coinvariants of {nu!r}"
         )
-    if form == "h":
-        gens = tanisaki_generators_h(mu, nu)
-    elif form == "e":
-        gens = tanisaki_generators_e(mu, nu)
-    else:
-        raise ValueError(f"unknown form {form!r}")
     return QuotientPresentation(
         nu,
-        gens,
+        tanisaki_generators_e(mu, nu),
         mu=mu,
-        form=form,
         label=f"shape-cut quotient {transpose(mu).parts} over {nu!r}",
     )
 

@@ -141,8 +141,6 @@ class Tableau:
     def __init__(self, rows: Sequence[Sequence[int]]):
         rows = tuple(tuple(int(v) for v in row) for row in rows)
         shape = Partition([len(row) for row in rows])
-        if tuple(len(r) for r in rows if r) != shape.parts:
-            raise ValueError("rows must have weakly decreasing positive lengths")
         object.__setattr__(self, "rows", tuple(r for r in rows if r))
         object.__setattr__(self, "shape", shape)
 

@@ -226,6 +226,13 @@ def test_act_bad_inputs(capsys):
     elem = json.dumps([{"exp": [1, 0], "num": "1", "den": "1"}])
     code, _, _ = run(capsys, ["act", "--op", "", "--nu", "2@1", "--elem", elem])
     assert code == 2
+    # a payload that is not a list of terms
+    for elem in ("{}", '""', '{"exp": [2], "num": "1", "den": "1"}'):
+        argv = ["act", "--op", "F_1", "--nu", "2", "--elem", elem]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: bad element JSON:")
 
 
 @pytest.mark.parametrize(
@@ -283,12 +290,19 @@ def test_act_word_moves_weight(capsys):
     assert out.splitlines()[0].startswith("1,0,1@1:")
 
 
-@pytest.mark.parametrize("form", ["h", "e"])
-def test_act_accepts_either_generator_form(capsys, form):
+def test_act_in_a_shape_cut_quotient(capsys):
     argv = ["act", "--op", "F_1 F_2", "--nu", "2,1", "--mu", "2,1"]
-    code, out, _ = run(capsys, argv + ["--window", "1,3", "--form", form])
+    code, out, _ = run(capsys, argv + ["--window", "1,3"])
     assert code == 0
     assert out.splitlines() == ["1,1,1@1: x1 - x2"]
+
+
+def test_form_is_an_option_of_present_only(capsys):
+    # every other command computes the one quotient of (nu, mu)
+    with pytest.raises(SystemExit) as info:
+        main(["dim", "--nu", "2,1", "--mu", "2,1", "--form", "h"])
+    assert info.value.code == 2
+    assert "--form" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------
@@ -442,7 +456,8 @@ def test_parser_is_built_once():
 
 def test_repeated_calls_match_fresh_processes(capsys):
     calls = [
-        ["dim", "--nu", "1,2,1", "--mu", "2,1,1", "--form", "h", "--output", "json"],
+        ["dim", "--nu", "1,2,1", "--mu", "2,1,1", "--output", "json"],
+        ["present", "--nu", "1,2,1", "--mu", "2,1,1", "--form", "h"],
         ["dim", "--nu", "1,2,1"],
         ["kf", "--tau", "2,1", "--mu", "1,1,1"],
         ["hilbert", "--nu", "1,2,1", "--mu", "regular"],

@@ -466,6 +466,14 @@ def test_family_linear_algebra():
     assert (two - wf) == wf
     assert (wf - wf).is_zero
     assert wf != WeightFamily.unit(comp(1, 1), (1, 2))
+    # families combine only over one window and one shape
+    for other in (
+        WeightFamily.unit(comp(2), (1, 3)),
+        WeightFamily.unit(comp(2), (1, 2), comp(1, 1)),
+    ):
+        assert wf != other
+        with pytest.raises(ValueError, match="different settings"):
+            wf + other
 
 
 def test_family_results_match_the_checked_constructor():
@@ -473,8 +481,8 @@ def test_family_results_match_the_checked_constructor():
     equals the family rebuilt through them, zero components dropped."""
     window = (1, 3)
     mu = comp(2, 1)
-    base = WeightFamily.unit(comp(2, 1), window, mu, form="h")
-    other = WeightFamily.unit(comp(1, 2), window, mu, form="h")
+    base = WeightFamily.unit(comp(2, 1), window, mu)
+    other = WeightFamily.unit(comp(1, 2), window, mu)
     lowered = base.apply("F", 1)
     results = [
         lowered,
@@ -493,8 +501,8 @@ def test_family_results_match_the_checked_constructor():
     assert any(r.is_zero for r in results)
     assert any(len(r.components) > 1 for r in results)
     for r in results:
-        # equality compares n, window, shape, form and the components
-        assert r == WeightFamily(r.n, r.window, r.mu, r.components, r.form)
+        # equality compares n, window, shape and the components
+        assert r == WeightFamily(r.n, r.window, r.mu, r.components)
 
 
 def test_family_apply_moves_weight():
@@ -529,40 +537,6 @@ def test_family_shape_order_does_not_matter():
     assert a + b == b * Q(2)
 
 
-def test_family_keeps_the_chosen_generator_form():
-    nu = comp(2, 1)
-    h_form = WeightFamily.unit(nu, (1, 3), comp(2, 1), form="h").apply("F", 1)
-    e_form = WeightFamily.unit(nu, (1, 3), comp(2, 1)).apply("F", 1)
-    assert h_form.components
-    assert {z.pres.form for z in h_form.components.values()} == {"h"}
-    assert {z.pres.form for z in e_form.components.values()} == {"e"}
-    assert h_form.to_json() == e_form.to_json()
-
-
-def test_family_form_is_part_of_its_setting():
-    mu, window = comp(2, 1), (1, 3)
-    h_form = WeightFamily.unit(comp(2, 1), window, mu, form="h")
-    e_form = WeightFamily.unit(comp(2, 1), window, mu)
-    assert (h_form.form, e_form.form) == ("h", "e")
-    assert h_form != e_form
-    assert h_form == WeightFamily.unit(comp(2, 1), window, mu, form="h")
-    with pytest.raises(ValueError, match="different settings"):
-        h_form + e_form
-    with pytest.raises(ValueError, match="different settings"):
-        h_form + WeightFamily.unit(comp(1, 2), window, mu)
-    # steps, differences and scalings keep the form, also when empty
-    assert h_form.apply("F", 1).form == "h"
-    assert (h_form - h_form).form == "h"
-    assert (h_form * 0).form == "h"
-    # without a form the components' form is taken
-    h_pres = presentation(comp(2, 1), mu, form="h")
-    assert WeightFamily(3, window, mu, {comp(2, 1): h_pres.one()}) == h_form
-    # plain quotients have one form
-    assert WeightFamily.unit(comp(2, 1), window, form="h").form == "e"
-    with pytest.raises(ValueError, match="unknown form"):
-        WeightFamily(3, window, mu, form="x")
-
-
 def test_component_cache_survives_presentation_cache_clear():
     window = (1, 2)
     lowered = WeightFamily.unit(comp(2), window).apply("F", 1)
@@ -575,22 +549,6 @@ def test_component_cache_survives_presentation_cache_clear():
     assert total.components[comp(1, 1)].rep == (
         Poly.var(2, 1) * 2 + Poly.one(2)
     )
-
-
-def test_h_form_family_images_stay_in_h_form():
-    mu = comp(1, 1)
-    window = (1, 2)
-    top = WeightFamily(
-        2, window, mu, {comp(2): presentation(comp(2), mu, form="h").one()}
-    )
-    low_h = presentation(comp(1, 1), mu, form="h")
-    lowered = top.apply("F", 1)
-    assert lowered.components[comp(1, 1)].pres is low_h
-    total = lowered + WeightFamily(2, window, mu, {comp(1, 1): low_h.one()})
-    assert total.components[comp(1, 1)].rep == Poly.var(2, 1) * 2 + Poly.one(2)
-    # the oracle route keeps the form as well
-    ks = KeySituation(1, comp(2))
-    assert apply_F_oracle(ks, top.components[comp(2)]).pres is low_h
 
 
 def test_window_overflow_on_nonzero_images_only():

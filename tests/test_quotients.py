@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 import time
@@ -51,6 +52,12 @@ from reference import (
 
 def comp(*parts):
     return Composition(1, list(parts))
+
+
+@functools.lru_cache(maxsize=None)
+def h_presentation(nu, mu):
+    """The shape-cut quotient on the h-form generator list, built once."""
+    return QuotientPresentation(nu, tanisaki_generators_h(mu, nu), mu=mu)
 
 
 def positive_compositions(n):
@@ -194,12 +201,11 @@ def test_top_degree_matches_formula():
         for nu in compositions_of(n, (1, n)):
             for mu in partitions_of(n):
                 flag = is_nonzero(mu, nu)
-                for form in ("e", "h"):
-                    pres = presentation(nu, mu, form=form)
-                    assert pres.is_zero_algebra == (not flag), (nu, mu, form)
+                for pres in (presentation(nu, mu), h_presentation(nu, mu)):
+                    assert pres.is_zero_algebra == (not flag), pres.label
                     top = quotient_top_degree(nu, mu) if flag else None
-                    assert pres.top_degree == top, (nu, mu, form)
-                    assert pres.one().is_zero == (not flag), (nu, mu, form)
+                    assert pres.top_degree == top, pres.label
+                    assert pres.one().is_zero == (not flag), pres.label
                     nonzero += flag
     assert nonzero == 1248
 
@@ -381,7 +387,7 @@ def test_orbit_terms_edge_cases():
 )
 def test_non_invariant_input_raises_in_every_quotient_query(terms):
     f = Poly(2, terms)
-    for pres in (presentation(comp(2)), presentation(comp(2), comp(1, 1), form="h")):
+    for pres in (presentation(comp(2)), h_presentation(comp(2), comp(1, 1))):
         with pytest.raises(NotInvariantError):
             pres.normal_form(f)
         with pytest.raises(NotInvariantError):
@@ -508,13 +514,28 @@ def test_dims_depend_only_on_sorted_shapes():
 
 
 def test_h_and_e_forms_same_dimensions():
-    for n in range(1, 5):
-        for mu in partitions_of(n):
-            mu_c = comp(*mu.parts)
-            nu = comp(*([1] * n))
-            de = presentation(nu, mu_c, form="e").dim()
-            dh = presentation(nu, mu_c, form="h").dim()
-            assert de == dh
+    """The h-form list presents the standard quotient: the same Hilbert
+    series, graded bases, zero test and normal forms, for every pair
+    with n <= 5."""
+    started = time.monotonic()
+    rng = random.Random(17)
+    pairs = 0
+    for n in range(1, 6):
+        for nu in compositions_of(n, (1, n)):
+            for mu in partitions_of(n):
+                std, h_pres = presentation(nu, mu), h_presentation(nu, mu)
+                assert h_pres.is_zero_algebra == std.is_zero_algebra, (nu, mu)
+                assert h_pres.hilbert() == std.hilbert(), (nu, mu)
+                h_basis = [b.rep for b in h_pres.basis()]
+                assert h_basis == [b.rep for b in std.basis()], (nu, mu)
+                top = (std.top_degree or 0) // 2
+                for _ in range(2):
+                    f = random_invariant(rng, nu, top)
+                    got = h_pres.normal_form(f).rep
+                    assert got == std.normal_form(f).rep, (nu, mu)
+                pairs += 1
+    assert pairs == 1094
+    assert time.monotonic() - started < 15
 
 
 def test_zero_algebra_behaviour():
@@ -595,11 +616,11 @@ def test_non_terminating_custom_presentation_detected():
 
 
 def test_form_label_does_not_pick_the_route():
-    # e_1 alone leaves C[e_2]; a form label must not let it through
+    # e_1 alone leaves C[e_2]; a shape label must not let it through
     gens = [e_sym(2, [1, 2], 1)]
-    for form in ("e", None):
+    for mu in (comp(2), None):
         with pytest.raises(ValueError, match="Lambda\\+"):
-            QuotientPresentation(comp(2), gens, form=form)
+            QuotientPresentation(comp(2), gens, mu=mu)
 
 
 def test_non_terminating_empty_generator_list_detected():
@@ -805,12 +826,18 @@ def test_staircase_normal_form():
 
 
 def standard_pairs(n):
-    """(nu, mu, form) for every plain and shape-cut presentation over (1, n)."""
+    """(nu, mu, form) for every plain and shape-cut presentation over (1, n),
+    the shape-cut ones on both generator lists."""
     for nu in compositions_of(n, (1, n)):
         yield nu, None, "e"
         for mu in partitions_of(n):
             for form in ("e", "h"):
-                yield nu, comp(*mu.parts), form
+                yield nu, mu, form
+
+
+def build(nu, mu, form):
+    """The presentation that a ``standard_pairs`` triple names."""
+    return h_presentation(nu, mu) if form == "h" else presentation(nu, mu)
 
 
 def test_standard_presentations_contain_lambda_plus():
@@ -823,8 +850,7 @@ def test_standard_presentations_contain_lambda_plus():
         e_all = {e_sym(n, full, r) for r in range(1, n + 1)}
         h_all = {h_sym(n, full, r) for r in range(1, n + 1)}
         for nu, mu, form in standard_pairs(n):
-            pres = presentation(nu, mu, form=form)
-            gens = set(pres.generators)
+            gens = set(build(nu, mu, form).generators)
             assert e_all <= gens or h_all <= gens, (nu, mu, form)
             checked += 1
     assert checked == 2363
@@ -843,7 +869,7 @@ def random_invariant(rng, nu, top):
 
 
 def assert_engines_agree(nu, mu, form, rng):
-    pres = presentation(nu, mu, form=form)
+    pres = build(nu, mu, form)
     if pres.is_zero_algebra:
         return False
     ref = OrbitSumQuotient(nu, pres.generators)
@@ -884,7 +910,7 @@ def test_r_route_matches_orbit_sum_route():
     # nu = 2,1,1,1), so the sample is drawn from the non-zero pairs
     # whose generators stay within 2n
     def reference_is_quick(nu, mu, form):
-        gens = presentation(nu, mu, form=form).generators
+        gens = build(nu, mu, form).generators
         return max(g.degree() for g in gens) <= 2 * nu.n
 
     quick_pairs = [
@@ -897,14 +923,14 @@ def test_r_route_matches_orbit_sum_route():
 
 STANDARD_N4 = [
     triple for n in range(1, 5) for triple in standard_pairs(n)
-    if not presentation(*triple[:2], form=triple[2]).is_zero_algebra
+    if not build(*triple).is_zero_algebra
 ]
 
 
 @st.composite
 def presentation_and_invariants(draw):
     nu, mu, form = draw(st.sampled_from(STANDARD_N4))
-    pres = presentation(nu, mu, form=form)
+    pres = build(nu, mu, form)
     seeds = draw(st.lists(st.integers(0, 2**32), min_size=2, max_size=2))
     f, g = (
         random_invariant(random.Random(s), nu, pres.top_degree // 2) for s in seeds
@@ -925,8 +951,8 @@ def test_normal_form_properties(case, a, b):
 
 
 def test_basis_sweeps_every_degree():
-    for nu, mu, form in [(comp(1, 2, 1), None, "e"), (comp(1, 2, 1), comp(2, 2), "h")]:
-        pres = presentation(nu, mu, form=form)
+    nu = comp(1, 2, 1)
+    for pres in [presentation(nu), h_presentation(nu, comp(2, 2))]:
         sweep = [
             b for d in range(0, pres.top_degree + 1, 2) for b in pres.graded_basis(d)
         ]

@@ -7,6 +7,7 @@ from coinv.shapes import Composition, Partition, compositions_of, dominates, par
 from coinv.tableaux import (
     IntPoly,
     Tableau,
+    _vanishes,
     charge,
     count_column_strict,
     enumerate_column_strict,
@@ -90,8 +91,12 @@ class TestTableau:
         assert not is_row_weak(Tableau([[2, 1]]))
 
     def test_bad_row_lengths(self):
-        with pytest.raises(ValueError):
-            Tableau([[1], [2, 3]])
+        # the row lengths are checked as a partition
+        for rows in ([[1], [2, 3]], [[], [1]]):
+            with pytest.raises(ValueError, match="parts not weakly decreasing"):
+                Tableau(rows)
+        # trailing empty rows are zero parts and are dropped
+        assert Tableau([[1, 2], []]) == Tableau([[1, 2]])
 
 
 class TestCountColumnStrict:
@@ -169,6 +174,18 @@ class TestBruteForceCounts:
             assert len(enumerate_semistandard(lam, nu)) == ss, (lam, nu)
         assert zeros and zeros < len(pairs)
         assert time.perf_counter() - started < 10
+
+    def test_vanishing_rule_matches_brute_force(self):
+        # the enumerators answer 0 on their own, so a rule that misses zero
+        # requests shows only here; permuted contents such as lam = (2, 2),
+        # nu = (1, 3) included, and sizes that differ
+        assert _vanishes(Partition([2, 2]), Composition(1, [1, 3]))
+        for n in range(1, 6):
+            for lam in partitions_of(n):
+                for m in range(1, 6):
+                    for nu in comps(m):
+                        cs, ss = brute_force_fillings(lam, nu)
+                        assert _vanishes(lam, nu) == (cs == 0) == (ss == 0), (lam, nu)
 
 
 class TestTrustedConstruction:
