@@ -271,7 +271,7 @@ def decompose_over(ks: KeySituation, f, side: str) -> list:
     if f.n != ks.n:
         raise ValueError("wrong variable count")
     try:
-        canon_terms = _orbit_terms(f, ks.rho)
+        canon_terms = _orbit_terms(f, _blocks_of(ks.rho))
     except NotInvariantError as exc:
         raise NoSolutionError(str(exc)) from exc
     block = s.base.block_range(s.block)
@@ -428,8 +428,9 @@ class WeightFamily:
     """Finitely supported element of a direct sum of quotients.
 
     Components map compositions (supported inside the window) to
-    elements of the corresponding plain or shape-cut quotient.  Families
-    combine only when n, window and shape all agree.
+    elements of the corresponding plain or shape-cut quotient, each in
+    ``presentation(nu, mu)``; the checked constructor refuses any other.
+    Families combine only when n, window and shape all agree.
 
     ``_clean=True`` skips the checks, for results built from checked
     families: the caller promises a Partition shape and weights of size
@@ -470,6 +471,13 @@ class WeightFamily:
                 continue
             if nu.n != n:
                 raise ValueError("component weight has wrong size")
+            # operator images land in the standard presentation, so a
+            # component anywhere else could never add to one
+            if z.pres is not presentation(nu, self.mu):
+                raise ValueError(
+                    f"component at weight {nu!r} is not an element of "
+                    f"presentation({nu!r}, {self.mu!r})"
+                )
             comps[nu] = z
         self.components = comps
 

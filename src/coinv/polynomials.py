@@ -64,20 +64,24 @@ class Poly:
     and non-zero coefficients that already follow the coefficient rule.
     The hash is computed on first use and kept in the ``_hash`` slot, so
     a memo keyed on a polynomial builds its frozenset of terms once.
+    Slots are set through their member descriptors (``_set_n`` and the
+    others below the class), which bypass the refusing ``__setattr__``
+    more cheaply than ``object.__setattr__`` does.
     """
 
     __slots__ = ("n", "terms", "_hash")
 
     def __init__(self, n: int, terms: dict | None = None, *, _clean: bool = False):
-        object.__setattr__(self, "n", int(n))
-        if terms is None:
-            terms = {}
-        if not _clean:
-            terms = _coefs({tuple(e): c for e, c in terms.items()})
-            for e in terms:
-                if len(e) != n or any(x < 0 for x in e):
-                    raise ValueError(f"bad exponent vector {e} for n={n}")
-        object.__setattr__(self, "terms", terms)
+        if _clean:
+            _set_n(self, n)
+            _set_terms(self, terms)
+            return
+        terms = _coefs({tuple(e): c for e, c in (terms or {}).items()})
+        for e in terms:
+            if len(e) != n or any(x < 0 for x in e):
+                raise ValueError(f"bad exponent vector {e} for n={n}")
+        _set_n(self, int(n))
+        _set_terms(self, terms)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -186,6 +190,8 @@ class Poly:
             c = _coef(other)
             if c == 0:
                 return Poly.zero(self.n)
+            if c == 1:
+                return self
             terms = {e: k * c for e, k in self.terms.items()}
             if type(c) is not int or not _all_int(terms):
                 terms = _coefs(terms)
@@ -197,6 +203,14 @@ class Poly:
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
+        if len(a) == 1:
+            # a monomial shifts b's exponents apart, so nothing collides
+            # and no product of non-zero coefficients cancels
+            [(e1, c1)] = a.items()
+            out = {tuple(map(operator.add, e1, e2)): c1 * c2 for e2, c2 in b.items()}
+            if not (type(c1) is int and _all_int(b)):
+                out = _coefs(out)
+            return Poly(self.n, out, _clean=True)
         out: dict = {}
         for e1, c1 in a.items():
             for e2, c2 in b.items():
@@ -240,7 +254,7 @@ class Poly:
             return self._hash
         except AttributeError:
             h = hash((self.n, frozenset(self.terms.items())))
-            object.__setattr__(self, "_hash", h)
+            _set_hash(self, h)
             return h
 
     # ------------------------------------------------------------------
@@ -302,6 +316,11 @@ class Poly:
             c = Q(_json_int(item["num"]), _json_int(item["den"]))
             terms[exp] = terms.get(exp, 0) + c
         return cls(n, terms)
+
+
+_set_n = Poly.n.__set__
+_set_terms = Poly.terms.__set__
+_set_hash = Poly._hash.__set__
 
 
 def _json_int(value) -> int:

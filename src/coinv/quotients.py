@@ -27,8 +27,13 @@ generators: ``hilbert`` sweeps the degrees up to it and ``_r_slice``
 returns an empty degree above it.  Monomials have memoised normal forms
 modulo the staircase Groebner basis, J R is built degree by degree, and
 the basis columns are the orbit sums independent modulo J R.
-``_r_slice`` is lru_cache'd on the variable blocks and the generators,
-so presentations over translated or zero-padded compositions share it.
+
+The algebra depends on nu only through its variable blocks.  So each
+(block layout, generator list) has one shared ``_Graded`` object, which
+keeps every degree built and the Hilbert series, and presentations over
+translated or zero-padded compositions (``1,2@1``, ``1,2@4``,
+``1,0,2@1``) share it and its normal-form memo entries.  A presentation
+adds only its weight, shape, label and the identity of its elements.
 ``_Echelon`` is the only elimination in the package; the tests check it
 against an orbit-sum echelon of P_nu kept in ``tests/reference.py``.
 
@@ -180,16 +185,16 @@ def _orbit_poly(blocks: tuple, n: int, exp: tuple) -> Poly:
     return Poly(n, terms, _clean=True)
 
 
-def _orbit_terms(f: Poly, nu: Composition) -> dict:
+def _orbit_terms(f: Poly, blocks: tuple) -> dict:
     """The canonical terms {canonical exp: coef} of a block-invariant f.
 
-    One pass over the terms checks invariance and collects the orbit
-    coordinates.  Each term's coefficient must equal its canonical
-    term's, so every orbit present has one coefficient; the term count
-    then equals the sum of those orbits' sizes exactly when every orbit
-    is complete.  Raises NotInvariantError otherwise.
+    ``blocks`` are the variable spans of ``_blocks_of``.  One pass over
+    the terms checks invariance and collects the orbit coordinates.
+    Each term's coefficient must equal its canonical term's, so every
+    orbit present has one coefficient; the term count then equals the
+    sum of those orbits' sizes exactly when every orbit is complete.
+    Raises NotInvariantError otherwise, naming the blocks' variables.
     """
-    blocks = _blocks_of(nu)
     terms = f.terms
     canon_terms = {}
     count = 0
@@ -203,7 +208,10 @@ def _orbit_terms(f: Poly, nu: Composition) -> dict:
     else:
         if count == len(terms):
             return canon_terms
-    raise NotInvariantError(f"polynomial is not invariant for blocks of {nu!r}")
+    spans = " | ".join(
+        " ".join(f"x{j + 1}" for j in range(start, stop)) for start, stop in blocks
+    )
+    raise NotInvariantError(f"polynomial is not invariant for the blocks {spans}")
 
 
 # ----------------------------------------------------------------------
@@ -461,11 +469,10 @@ def _times_var(n: int, row: list, j: int) -> list:
     return sorted((k, v) for k, v in acc.items() if v != 0)
 
 
-# _r_ideal and _r_slice stay unbounded although their keys hold tuples of
-# Poly (the generators): they keep one entry per (block layout, generator
-# list, degree), so they grow with the presentations built, not with the
-# polynomials reduced.  After ``verify --suite all --n 4`` _r_ideal holds
-# 213 entries and _r_slice 483.
+# _r_ideal stays unbounded although its keys hold tuples of Poly (the
+# generators): it keeps one entry per (generator list, degree), so it grows
+# with the presentations built, not with the polynomials reduced.  After
+# ``verify --suite all --n 4`` it holds 213 entries.
 @lru_cache(maxsize=None)
 def _r_ideal(n: int, gens: tuple, d: int) -> _Echelon:
     """Echelon of (JR)_d, the degree-d part of the ideal of R that gens generate.
@@ -506,9 +513,51 @@ class _DegreeData(NamedTuple):
 _EMPTY_DEGREE = _DegreeData((), None, ())
 
 
-# unbounded for the reason given above _r_ideal
-@lru_cache(maxsize=None)
-def _r_slice(blocks: tuple, n: int, gens: tuple, d: int) -> _DegreeData:
+class _Graded:
+    """The graded algebra P_nu / J of one block layout and generator list.
+
+    It depends on nu only through the variable blocks, so every
+    presentation over a translate or a zero-padded copy of nu, with the
+    same generators, shares one object (``_graded``).  Each degree is
+    built once, by ``_r_slice``, and kept in ``_degrees``; the Hilbert
+    series is swept once and kept too.  Identity is the hash, so the
+    object keys the normal-form memo.
+    """
+
+    __slots__ = ("blocks", "n", "gens", "_degrees", "_hilbert")
+
+    def __init__(self, blocks: tuple, n: int, gens: tuple):
+        self.blocks = blocks
+        self.n = n
+        self.gens = gens
+        self._degrees: dict = {}
+        self._hilbert = None
+
+    def degree(self, d: int) -> _DegreeData:
+        """Degree d in the exponent-sum grading."""
+        data = self._degrees.get(d)
+        if data is None:
+            data = self._degrees[d] = _r_slice(self, d)
+        return data
+
+    def hilbert(self) -> IntPoly:
+        """Graded dimensions, doubled grading, up to R's top n(n-1)."""
+        if self._hilbert is None:
+            self._hilbert = IntPoly(
+                0 if d % 2 else len(self.degree(d // 2).basis_cols)
+                for d in range(self.n * (self.n - 1) + 1)
+            )
+        return self._hilbert
+
+
+# Unbounded although its keys hold tuples of Poly (the generators): it
+# keeps one entry per (block layout, generator list), so it grows with the
+# presentations built, not with the polynomials reduced.  After ``verify
+# --suite all --n 4`` it holds 84 algebras with 489 degrees between them.
+_graded = lru_cache(maxsize=None)(_Graded)
+
+
+def _r_slice(alg: _Graded, d: int) -> _DegreeData:
     """Degree d of P_nu / J computed inside R, for J containing Lambda+.
 
     An invariant f lies in J iff its normal form lies in JR.  The normal
@@ -536,6 +585,7 @@ def _r_slice(blocks: tuple, n: int, gens: tuple, d: int) -> _DegreeData:
     empty, every higher degree has no spanning row and is one memo
     lookup, whatever the generators of the ideal are.
     """
+    blocks, n, gens = alg.blocks, alg.n, alg.gens
     if d >= len(_r_dims(n)):
         return _EMPTY_DEGREE
     if d == 0:
@@ -545,7 +595,7 @@ def _r_slice(blocks: tuple, n: int, gens: tuple, d: int) -> _DegreeData:
             _nf_row(n, e_sym(n, range(start + 1, stop + 1), r) * basis_vector)
             for start, stop in blocks
             for r in range(1, min(stop - start, d) + 1)
-            for basis_vector in _r_basis(blocks, n, gens, d - r)
+            for basis_vector in _r_basis(alg, d - r)
         ]
     if not any(spanning):
         return _EMPTY_DEGREE
@@ -572,9 +622,9 @@ def _r_slice(blocks: tuple, n: int, gens: tuple, d: int) -> _DegreeData:
     return _DegreeData(exps, ech, tuple(sorted(basis)))
 
 
-def _r_basis(blocks: tuple, n: int, gens: tuple, d: int) -> list:
-    data = _r_slice(blocks, n, gens, d)
-    return [_orbit_poly(blocks, n, data.exps[c]) for c in data.basis_cols]
+def _r_basis(alg: _Graded, d: int) -> list:
+    data = alg.degree(d)
+    return [_orbit_poly(alg.blocks, alg.n, data.exps[c]) for c in data.basis_cols]
 
 
 # ----------------------------------------------------------------------
@@ -606,13 +656,13 @@ class QuotientPresentation:
         # a zero generator generates nothing
         self.generators = [g for g in generators if not g.is_zero]
         self.label = label or f"quotient over {nu!r}"
-        self._blocks = _blocks_of(nu)
+        blocks = _blocks_of(nu)
         for g in self.generators:
             if g.n != self.n:
                 raise ValueError("generator has wrong variable count")
             if not g.is_homogeneous():
                 raise ValueError("generators must be homogeneous")
-            _orbit_terms(g, nu)
+            _orbit_terms(g, blocks)
         full = range(1, self.n + 1)
         if not any(
             all(sym(self.n, full, r) in self.generators for r in full)
@@ -625,23 +675,12 @@ class QuotientPresentation:
         self.is_zero_algebra = any(
             g.constant() != 0 for g in self.generators
         )
-        self._cache: dict = {}
-        self._hilbert = None
+        self._alg = _graded(blocks, self.n, tuple(self.generators))
 
     @property
     def top_degree(self):
         """Top degree (doubled grading); None for the zero algebra."""
         return self.hilbert().degree()
-
-    # -- echelon construction ------------------------------------------
-
-    def _degree_data(self, d: int) -> _DegreeData:
-        """Degree d in the exponent-sum grading."""
-        data = self._cache.get(d)
-        if data is None:
-            data = _r_slice(self._blocks, self.n, tuple(self.generators), d)
-            self._cache[d] = data
-        return data
 
     # -- public queries -------------------------------------------------
 
@@ -649,7 +688,7 @@ class QuotientPresentation:
         """Dimension of the degree-d piece (doubled grading)."""
         if d < 0 or d % 2:
             return 0
-        return len(self._degree_data(d // 2).basis_cols)
+        return len(self._alg.degree(d // 2).basis_cols)
 
     def dim(self) -> int:
         return sum(self.hilbert().coeffs)
@@ -658,26 +697,16 @@ class QuotientPresentation:
         """Graded dimensions as a polynomial in t, doubled grading.
 
         R vanishes above degree n(n-1)/2, so the sweep stops there.  The
-        series is swept once per presentation; ``top_degree``, ``dim``
+        series is swept once per shared algebra; ``top_degree``, ``dim``
         and ``basis`` read the kept one.
         """
-        if self._hilbert is None:
-            self._hilbert = IntPoly(
-                self.graded_dim(d) for d in range(self.n * (self.n - 1) + 1)
-            )
-        return self._hilbert
+        return self._alg.hilbert()
 
     def graded_basis(self, d: int) -> list:
         """Canonical orbit-sum basis of the degree-d piece (doubled grading)."""
         if d < 0 or d % 2:
             raise ValueError("degree must be even and non-negative")
-        if self.graded_dim(d) == 0:
-            return []
-        data = self._degree_data(d // 2)
-        return [
-            QuotientElement(self, _orbit_poly(self._blocks, self.n, data.exps[i]))
-            for i in data.basis_cols
-        ]
+        return [QuotientElement(self, v) for v in _r_basis(self._alg, d // 2)]
 
     def basis(self):
         """Every canonical basis vector, degree by degree."""
@@ -688,9 +717,10 @@ class QuotientPresentation:
         """The canonical representative of f in the quotient.
 
         The representative comes from ``_normal_form_rep``, a bounded
-        memo; a hit is wrapped in a new element of this presentation.
+        memo shared by every presentation of this algebra; a hit is
+        wrapped in a new element of this presentation.
         """
-        return QuotientElement(self, _normal_form_rep(self, f))
+        return QuotientElement(self, _normal_form_rep(self._alg, f))
 
     def contains(self, f: Poly) -> bool:
         """Ideal membership."""
@@ -706,46 +736,48 @@ class QuotientPresentation:
         return f"QuotientPresentation({self.label})"
 
 
-# The operator checks reduce the same polynomial in the same presentation
-# again and again: both routes of an operator build equal images, and
-# relation sweeps revisit each image.  One operator-calculus pass makes
-# 4 137 calls on 1 201 distinct pairs; of its 2 936 repeats an LRU of 256
-# entries catches 2 834, one of 64 entries 2 481.  An input that raises
-# is not cached.
+# The operator checks reduce the same polynomial in the same algebra again
+# and again: both routes of an operator build equal images, relation sweeps
+# revisit each image, and translated weights share the algebra.  One
+# operator-calculus pass makes 4 137 calls on 410 distinct (algebra,
+# polynomial) pairs; of its 3 727 repeats an LRU of 256 entries catches
+# 3 724, one of 64 entries 3 154.  An input that raises is not cached.
 @lru_cache(maxsize=256)
-def _normal_form_rep(pres: QuotientPresentation, f: Poly) -> Poly:
-    """The canonical representative of f in pres, as a polynomial.
+def _normal_form_rep(alg: _Graded, f: Poly) -> Poly:
+    """The canonical representative of f in alg, as a polynomial.
 
     One pass over f's terms checks block invariance (raising
     NotInvariantError).  Terms of a degree whose piece is zero are
     dropped as they are grouped, so they reach no normal form in R.  In
     each other degree, the normal form in R of f's terms of that degree
     is solved on the degree's tagged echelon for coordinates on the
-    basis columns.  The key is the presentation itself, compared by
-    identity, so two presentations over one composition never share an
-    entry.
+    basis columns.  The key is the shared algebra, compared by
+    identity, so presentations over translated or zero-padded weights
+    with one generator list share entries, and two generator lists over
+    one composition never do.
     """
-    if f.n != pres.n:
+    n = alg.n
+    if f.n != n:
         raise ValueError("wrong variable count")
-    _orbit_terms(f, pres.nu)
+    _orbit_terms(f, alg.blocks)
     live: dict = {}  # degree -> its _DegreeData, or None for a zero piece
     by_degree: dict = {}
     for exp, c in f.terms.items():
         di = sum(exp)
         if di not in live:
-            data = pres._degree_data(di)
+            data = alg.degree(di)
             live[di] = data if data.basis_cols else None
         if live[di] is not None:
             by_degree.setdefault(di, {})[exp] = c
     acc: dict = {}
     for di, terms in sorted(by_degree.items()):
         data = live[di]
-        row = _nf_row(pres.n, Poly(pres.n, terms, _clean=True))
-        for col, coef in data.echelon.solve(row, math.factorial(pres.n)):
-            orbit = _orbit_poly(pres._blocks, pres.n, data.exps[col])
+        row = _nf_row(n, Poly(n, terms, _clean=True))
+        for col, coef in data.echelon.solve(row, math.factorial(n)):
+            orbit = _orbit_poly(alg.blocks, n, data.exps[col])
             for exp, c in orbit.terms.items():
                 acc[exp] = acc.get(exp, 0) + coef * c
-    return Poly(pres.n, _coefs(acc), _clean=True)
+    return Poly(n, _coefs(acc), _clean=True)
 
 
 class QuotientElement:

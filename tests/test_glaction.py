@@ -27,8 +27,10 @@ from coinv.glaction import (
 )
 from coinv.polynomials import Poly, Q, e_block
 from coinv.quotients import (
+    QuotientPresentation,
     _standard_presentation,
     presentation,
+    tanisaki_generators_h,
 )
 from coinv.shapes import (
     Composition,
@@ -452,6 +454,22 @@ def test_family_construction_drops_zeros():
     wf = WeightFamily(2, (1, 2), None, {nu: pres.zero()})
     assert wf.is_zero
     assert wf.components == {}
+
+
+def test_family_refuses_components_of_other_presentations():
+    window, mu = (1, 2), Partition([1, 1])
+    nu = comp(1, 1)
+    h_form = QuotientPresentation(nu, tanisaki_generators_h(mu, nu), mu=mu)
+    # the shape-cut quotient at 1,1 with its h-form list, and the plain one
+    for foreign in (h_form.one(), presentation(nu).one()):
+        assert foreign.pres is not presentation(nu, mu)
+        with pytest.raises(ValueError, match=r"weight Composition\(1, \[1, 1\]\)"):
+            WeightFamily(2, window, mu, {nu: foreign})
+    # the same element in the standard presentation adds to an image there
+    lowered = WeightFamily.unit(comp(2), window, mu).apply("F", 1)
+    total = WeightFamily(2, window, mu, {nu: presentation(nu, mu).one()}) + lowered
+    assert total == WeightFamily.unit(nu, window, mu) + lowered
+    assert not total.is_zero
 
 
 def test_family_rejects_weight_outside_window():

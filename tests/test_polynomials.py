@@ -558,3 +558,57 @@ def test_integral_results_become_ints():
     for r in results:
         assert not r.is_zero
         assert all(type(c) is int for c in r.terms.values()), r.terms
+
+
+def convolve(f, g) -> dict:
+    """The product's terms by plain dict convolution, zeros dropped."""
+    out = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c != 0}
+
+
+def test_monomial_products_match_convolution():
+    rng = random.Random(7)
+    cases = []
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        exp = tuple(rng.randint(0, 3) for _ in range(n))
+        c = rng.choice([1, -2, 3, Q(3, 2), Q(-2, 3)])
+        cases.append((Poly.monomial(n, exp, c), random_poly(rng, n, terms=rng.randint(1, 6))))
+    # Q coefficients whose products are all integers: 3/2 * 2/3, 3/2 * 4/3
+    cases.append((
+        Poly.monomial(2, (1, 0), Q(3, 2)),
+        Poly(2, {(0, 1): Q(2, 3), (2, 0): Q(4, 3), (0, 0): Q(-2, 3)}),
+    ))
+    assert any(len(p.terms) > 1 for _, p in cases)
+    for m, p in cases:
+        for product in (m * p, p * m):
+            assert product.terms == convolve(m, p)
+            assert follows_coefficient_rule(product), product.terms
+    last = cases[-1][0] * cases[-1][1]
+    assert last.terms == {(1, 1): 1, (3, 0): 2, (1, 0): -1}
+    assert all(type(c) is int for c in last.terms.values())
+
+
+def test_product_by_one_is_the_same_polynomial():
+    f = random_poly(random.Random(3), 3)
+    for one in (1, Q(1), Q(2, 2)):
+        assert f * one is f
+        assert one * f is f
+    assert (f * Poly.one(3)).terms == f.terms
+    assert (Poly.one(3) * f).terms == f.terms
+    assert f * -1 == -f and (f * 0).is_zero
+
+
+def test_poly_stays_immutable():
+    f = Poly(2, {(1, 0): 1})
+    g = f * Poly.monomial(2, (0, 1), 2)
+    hash(g)
+    for p in (f, g, Poly.monomial(2, (1, 1), Q(1, 2))):
+        for name, value in (("n", 3), ("terms", {}), ("_hash", 0), ("other", 1)):
+            with pytest.raises(AttributeError):
+                setattr(p, name, value)
+    assert g.n == 2 and g.terms == {(1, 1): 2}

@@ -265,10 +265,52 @@ def test_normal_form_memo_hit_belongs_to_the_caller():
     again = p.normal_form(f)
     assert _normal_form_rep.cache_info().hits == hits + 1
     assert again.pres is p and again == first and again is not first
-    # a second presentation with the same generators is its own key
+    # a second presentation with the same generators shares the key
     twin = QuotientPresentation(nu, coinvariant_generators(nu))
+    hits = _normal_form_rep.cache_info().hits
     assert twin.normal_form(f).pres is twin
+    assert _normal_form_rep.cache_info().hits == hits + 1
     assert twin.normal_form(f).rep == first.rep
+
+
+def test_translates_share_one_graded_algebra():
+    """One graded algebra per block layout and generator list."""
+    plain = [
+        presentation(Composition(1, [1, 2])),
+        presentation(Composition(4, [1, 2])),
+        presentation(Composition(1, [1, 0, 2])),
+    ]
+    cut = [
+        presentation(Composition(1, [2, 1]), comp(2, 1)),
+        presentation(Composition(3, [2, 0, 0, 1]), comp(1, 2)),
+    ]
+    for group in (plain, cut):
+        assert len({p.nu for p in group}) == len(group)
+        assert all(p._alg is group[0]._alg for p in group)
+    assert plain[0]._alg is not cut[0]._alg
+    # the h-form list over the same weight is another generator list
+    nu, mu = cut[0].nu, cut[0].mu
+    h_form = QuotientPresentation(nu, tanisaki_generators_h(mu, nu), mu=mu)
+    assert h_form._alg is not cut[0]._alg
+    assert h_form.hilbert() == cut[0].hilbert()
+
+    x = [Poly.var(3, i) for i in (1, 2, 3)]
+    f = x[0] * x[0] + x[1] * x[2] * 2 + x[1] * x[1] + x[2] * x[2]
+    _normal_form_rep.cache_clear()
+    results = []
+    for p in plain:
+        results.append(p.normal_form(f))
+        info = _normal_form_rep.cache_info()
+        assert (info.misses, info.hits) == (1, len(results) - 1)
+    for p, z in zip(plain, results):
+        assert z.pres is p and z.rep == results[0].rep
+    assert not results[0].is_zero
+    # elements of different presentations never compare equal or add
+    assert results[0] != results[1]
+    with pytest.raises(ValueError, match="different presentations"):
+        results[0] + results[1]
+    with pytest.raises(NotInvariantError):
+        plain[1].normal_form(x[1])
 
 
 def test_normal_form_memo_keeps_presentations_over_one_nu_apart():
@@ -352,33 +394,33 @@ def polys_over_compositions(draw):
 def test_orbit_terms_matches_the_definition_of_invariance(case):
     f, nu = case
     if is_fixed_by_block_group(f, nu):
-        assert _orbit_terms(f, nu) == {
+        assert _orbit_terms(f, _blocks_of(nu)) == {
             e: c for e, c in f.terms.items() if weakly_decreasing_in_blocks(e, nu)
         }
         assert is_block_invariant(f, nu)
     else:
         with pytest.raises(NotInvariantError):
-            _orbit_terms(f, nu)
+            _orbit_terms(f, _blocks_of(nu))
         assert not is_block_invariant(f, nu)
 
 
 def test_orbit_terms_edge_cases():
-    nu = comp(2)
+    blocks = _blocks_of(comp(2))
     x1, x2 = Poly.var(2, 1), Poly.var(2, 2)
-    assert _orbit_terms(Poly.zero(2), nu) == {}
-    assert _orbit_terms(Poly.const(2, Q(3, 2)), nu) == {(0, 0): Q(3, 2)}
-    assert _orbit_terms(x1 * x1 + x2 * x2 - x1 * x2 * 3, nu) == {(2, 0): 1, (1, 1): -3}
+    assert _orbit_terms(Poly.zero(2), blocks) == {}
+    assert _orbit_terms(Poly.const(2, Q(3, 2)), blocks) == {(0, 0): Q(3, 2)}
+    assert _orbit_terms(x1 * x1 + x2 * x2 - x1 * x2 * 3, blocks) == {(2, 0): 1, (1, 1): -3}
     # a complete orbit with unequal coefficients
     with pytest.raises(NotInvariantError):
-        _orbit_terms(x1 * x1 + x2 * x2 * 2, nu)
+        _orbit_terms(x1 * x1 + x2 * x2 * 2, blocks)
     # incomplete orbits with equal coefficients
     with pytest.raises(NotInvariantError):
-        _orbit_terms(x1 * x1 + x2, nu)
+        _orbit_terms(x1 * x1 + x2, blocks)
     # only the canonical term of an orbit
     with pytest.raises(NotInvariantError):
-        _orbit_terms(x1, nu)
+        _orbit_terms(x1, blocks)
     # singleton blocks fix everything
-    assert _orbit_terms(x1 * x1 + x2, comp(1, 1)) == {(2, 0): 1, (0, 1): 1}
+    assert _orbit_terms(x1 * x1 + x2, _blocks_of(comp(1, 1))) == {(2, 0): 1, (0, 1): 1}
 
 
 @pytest.mark.parametrize(
