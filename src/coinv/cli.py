@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from functools import lru_cache
 from math import comb, factorial
@@ -64,32 +63,15 @@ EXIT_WINDOW = 4
 
 DEFAULT_NMAX = 8
 # dim, hilbert, basis and act build quotients.  Cold, Fraction backend, 2
-# cores: at n = 7 "dim --nu 2,2,2,1" takes 25 s (167 MB), "--nu 1^7" 112 s
-# (651 MB); at n = 8 "--nu 2,2,2,2" had not finished after 150 s, nor
-# "--nu 3,3,2" after 90 s.
+# cores, one run each (ROADMAP.md): at n = 7 "dim --nu 2,2,2,1" takes
+# 17.6 s (167 MB), "--nu 1^7" 90.5 s (651 MB); at n = 8 "--nu 2,2,2,2"
+# had not finished after 150 s, nor "--nu 3,3,2" after 90 s.
 QUOTIENT_NMAX = 7
 SUITE_NMAX = 5
-# Suites sweep every composition of n on the window.  Measured with the
-# Fraction backend on 2 cores: the default window at n = 5 holds 126,
-# and "--suite all --n 3" takes 11 s on 56 and 120 s on 220.  At n = 5
-# on the default window each suite alone took: identities 2.6 s,
-# ideals-equal 29 s, dims 0.4 s, relations 41-46 s (51-54 MB),
-# ideal-invariance 16.6 s (30 MB), weights 0.4 s, hilbert 0.6 s; "all"
-# took 86 s (57 MB).  A run on a host about 2.3x slower measured traces
-# at 30 s and 25 MB.
+# Suites sweep every composition of n on the window.  The default window
+# at n = 5 holds 126 compositions, and "--suite all --n 5" takes 52.6 s
+# and 53 MB cold (Fraction backend, 2 cores, BENCH_25.json).
 VERIFY_COMPOSITION_LIMIT = 250
-
-SUITES = (
-    "identities",
-    "ideals-equal",
-    "dims",
-    "relations",
-    "ideal-invariance",
-    "weights",
-    "hilbert",
-    "traces",
-    "all",
-)
 
 
 class InputError(Exception):
@@ -100,23 +82,9 @@ class InputError(Exception):
 # parsing helpers
 
 
-def n_limit(cap: int) -> int:
-    raw = os.environ.get("COINV_NMAX")
-    if raw is None:
-        return cap
-    try:
-        return int(raw)
-    except ValueError:
-        raise InputError(f"COINV_NMAX must be an integer, got {raw!r}")
-
-
 def check_size(n: int, cap: int = DEFAULT_NMAX) -> None:
-    cap = n_limit(cap)
     if n > cap:
-        raise InputError(
-            f"n={n} exceeds the configured maximum {cap} "
-            "(set COINV_NMAX to raise it)"
-        )
+        raise InputError(f"n={n} exceeds the maximum {cap} for this command")
 
 
 def parse_composition(text: str) -> Composition:
@@ -404,8 +372,9 @@ def cmd_tableaux(args) -> int:
 # verification suites
 
 
-def _suite_identities(n: int, r_max: int) -> list:
-    return [verify_identity_suite(n, r_max), quotient_identity_report(n, r_max)]
+def _suite_identities(n: int, window: tuple) -> list:
+    """Identities for r up to 2n, over every block shape of n; no window."""
+    return [verify_identity_suite(n, 2 * n), quotient_identity_report(n, 2 * n)]
 
 
 def _suite_ideals_equal(n: int, window: tuple) -> list:
@@ -504,6 +473,18 @@ def _suite_traces(n: int, window: tuple) -> list:
     return [trace_map_report(n, window), adjunction_report(n, window)]
 
 
+SUITES = {
+    "identities": _suite_identities,
+    "ideals-equal": _suite_ideals_equal,
+    "dims": _suite_dims,
+    "relations": _suite_relations,
+    "ideal-invariance": _suite_ideal_invariance,
+    "weights": _suite_weights,
+    "hilbert": _suite_hilbert,
+    "traces": _suite_traces,
+}
+
+
 def _center_table(n_max_val: int) -> tuple:
     """Rows (mu, nu, center dimension, simple count) for all n <= n_max_val."""
     rows = []
@@ -558,25 +539,10 @@ def cmd_verify(args) -> int:
             f"window {window[0]},{window[1]} holds {count} compositions of "
             f"n={n}; verify accepts at most {VERIFY_COMPOSITION_LIMIT}"
         )
-    r_max = args.r_max if args.r_max is not None else 2 * n
-    if not 1 <= r_max <= 2 * n:
-        raise InputError(f"--r-max must be between 1 and 2n = {2 * n}, got {r_max}")
-
-    builders = {
-        "identities": lambda: _suite_identities(n, r_max),
-        "ideals-equal": lambda: _suite_ideals_equal(n, window),
-        "dims": lambda: _suite_dims(n, window),
-        "relations": lambda: _suite_relations(n, window),
-        "ideal-invariance": lambda: _suite_ideal_invariance(n, window),
-        "weights": lambda: _suite_weights(n, window),
-        "hilbert": lambda: _suite_hilbert(n, window),
-        "traces": lambda: _suite_traces(n, window),
-    }
-    names = list(builders) if args.suite == "all" else [args.suite]
-
+    names = list(SUITES) if args.suite == "all" else [args.suite]
     reports = []
     for name in names:
-        reports.extend(builders[name]())
+        reports.extend(SUITES[name](n, window))
 
     table_rows = None
     if args.suite == "all":
@@ -691,10 +657,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", choices=SUITES, required=True)
+    p.add_argument("--suite", choices=(*SUITES, "all"), required=True)
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--window", help="LO,HI (default 1,n)")
-    p.add_argument("--r-max", type=int, dest="r_max", help="1..2n (default 2n)")
     common(p)
 
     return parser

@@ -229,12 +229,6 @@ def _nonzero_blocks(nu: Composition) -> list:
     return [i for i in nu.indices() if nu[i] > 0]
 
 
-def _degree_cap(nu: Composition, mu) -> int:
-    lam = transpose(mu)
-    raw = sum(q * (q - 1) for q in lam) - sum(p * (p - 1) for p in nu.parts)
-    return max(raw // 2, nu.n)
-
-
 def _sorted_gens(gens: Iterable[Poly]) -> list:
     uniq = {}
     for g in gens:
@@ -247,20 +241,24 @@ def _sorted_gens(gens: Iterable[Poly]) -> list:
 def tanisaki_generators_h(mu, nu: Composition) -> list:
     """Complete-symmetric generating set for the shape-cut ideal.
 
-    For each subset of non-zero blocks, the h_r on the union of those
-    blocks enters whenever r exceeds the transpose head sum minus the
-    subset's variable count; r is capped by the global degree bound.
+    For each subset of non-zero blocks, the h_r on the union S of those
+    blocks lies in the ideal whenever r exceeds the transpose head sum
+    minus |S|.  Only the first |S| such r enter, from max(bound + 1, 0)
+    to max(bound, 0) + |S|: for r >= 1,
+    h_r(X_S) = sum_{j=1..|S|} (-1)^(j+1) e_j(X_S) h_{r-j}(X_S),
+    so each later h_r is a combination of the |S| before it and the
+    shorter list generates the same ideal.  For the full variable set
+    the list holds h_1..h_n.
     """
     lam = transpose(mu)
     n = nu.n
-    cap = _degree_cap(nu, mu)
     gens = []
     support = _nonzero_blocks(nu)
     for m in range(0, len(support) + 1):
         for combo in itertools.combinations(support, m):
             union = sorted(v for i in combo for v in nu.block_range(i))
             bound = lam.head_sum(m) - len(union)
-            for r in range(max(bound + 1, 0), cap + 1):
+            for r in range(max(bound + 1, 0), max(bound, 0) + len(union) + 1):
                 gens.append(h_sym(n, union, r))
     return _sorted_gens(gens)
 
@@ -274,7 +272,6 @@ def tanisaki_generators_e(mu, nu: Composition) -> list:
     """
     lam = transpose(mu)
     n = nu.n
-    cap = _degree_cap(nu, mu)
     gens = []
     support = _nonzero_blocks(nu)
     for m in range(0, len(support) + 1):
@@ -283,8 +280,7 @@ def tanisaki_generators_e(mu, nu: Composition) -> list:
             outside = len(support) - m
             tail = n - lam.head_sum(outside)
             bound = len(union) - tail
-            hi = min(cap, len(union))
-            for r in range(max(bound + 1, 0), hi + 1):
+            for r in range(max(bound + 1, 0), len(union) + 1):
                 gens.append(e_sym(n, union, r))
     return _sorted_gens(gens)
 
@@ -890,10 +886,10 @@ def ideals_equal(gens_a: Sequence[Poly], gens_b: Sequence[Poly], nu: Composition
 # in-quotient identity checks
 
 
-def quotient_identity_report(n: int, r_max: int, window=None) -> Report:
+def quotient_identity_report(n: int, r_max: int) -> Report:
     """Membership identities tying h and e over complementary block sets.
 
-    For every composition of n supported in the window and every split
+    For every composition of n on the window (1, n) and every split
     of its non-empty blocks into two complementary groups I and J,
     checks inside the plain quotient that h_r over the I variables is
     congruent to (-1)^r e_r over the J variables: H_I(t) = 1 / E_I(-t),
@@ -902,11 +898,9 @@ def quotient_identity_report(n: int, r_max: int, window=None) -> Report:
     from .shapes import compositions_of
 
     report = Report(f"quotient-level identities, n={n}, r_max={r_max}")
-    if window is None:
-        window = (1, max(n, 1))
     ok_pair = True
     seen = set()
-    for nu in compositions_of(n, window):
+    for nu in compositions_of(n, (1, max(n, 1))):
         # interior zero blocks change nothing here
         shape = tuple(p for p in nu.parts if p > 0)
         if shape in seen:

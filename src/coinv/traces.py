@@ -44,29 +44,25 @@ def _as_poly(ks: KeySituation, x) -> Poly:
 
 
 class ModuleHom:
-    """Base-ring-linear map out of the refined quotient.
+    """Map out of the refined quotient, linear over the nu side's base ring.
 
-    direction names a side: the map is linear over that side's base ring
-    and is recorded by its values on the basis powers x_k^0..x_k^top
-    (top is a on side "nu", b on side "nu_prime").
+    It is recorded by its values on the basis powers x_k^0..x_k^a.
     """
 
-    __slots__ = ("ks", "direction", "values")
+    __slots__ = ("ks", "values")
 
-    def __init__(self, ks: KeySituation, direction: str, values):
-        rank = ks.side(direction).top + 1
+    def __init__(self, ks: KeySituation, values):
         values = tuple(values)
-        if len(values) != rank:
-            raise ValueError(f"expected {rank} basis values, got {len(values)}")
+        if len(values) != ks.a + 1:
+            raise ValueError(f"expected {ks.a + 1} basis values, got {len(values)}")
         self.ks = ks
-        self.direction = direction
         self.values = values
 
     def evaluate(self, y) -> QuotientElement:
         """Apply the map to an arbitrary element of the refined quotient."""
         ks = self.ks
-        base = presentation(ks.side(self.direction).base)
-        coeffs = decompose_over(ks, _as_poly(ks, y), self.direction)
+        base = presentation(ks.nu)
+        coeffs = decompose_over(ks, _as_poly(ks, y), "nu")
         acc = Poly.zero(ks.n)
         for w, val in zip(coeffs, self.values):
             if not w.is_zero:
@@ -77,15 +73,14 @@ class ModuleHom:
         if not isinstance(other, ModuleHom):
             return NotImplemented
         return (
-            self.direction == other.direction
-            and self.ks.nu == other.ks.nu
+            self.ks.nu == other.ks.nu
             and self.ks.i == other.ks.i
             and self.values == other.values
         )
 
     def __repr__(self) -> str:
         vals = ", ".join(repr(v) for v in self.values)
-        return f"ModuleHom({self.direction}; [{vals}])"
+        return f"ModuleHom([{vals}])"
 
 
 class PowerBasisTensor:
@@ -189,7 +184,7 @@ def delta(ks: KeySituation, g) -> ModuleHom:
     g = _as_poly(ks, g)
     xk = Poly.var(ks.n, ks.k)
     values = [push(ks, g * xk**s, "nu") for s in range(ks.a + 1)]
-    return ModuleHom(ks, "nu", values)
+    return ModuleHom(ks, values)
 
 
 def delta_inv(ks: KeySituation, f: ModuleHom):
@@ -198,8 +193,6 @@ def delta_inv(ks: KeySituation, f: ModuleHom):
     Contracts the nu-side unit: each pair's left factor times the hom's
     value on the pair's right power.
     """
-    if f.direction != "nu":
-        raise ValueError("delta_inv expects a nu-side hom")
     pairs = _unit_pairs(ks, ks.side("nu"))  # right powers x_k^a .. x_k^0
     acc = Poly.zero(ks.n)
     for (left, _), value in zip(pairs, reversed(f.values)):
@@ -378,7 +371,7 @@ def adjunction_report(n: int, window) -> Report:
                     values = [
                         w if t == s else base.zero() for t in range(ks.a + 1)
                     ]
-                    f = ModuleHom(ks, "nu", values)
+                    f = ModuleHom(ks, values)
                     if delta(ks, delta_inv(ks, f)) != f:
                         ok_iso = False
             if not triangle_identity_check(ks):
@@ -401,9 +394,7 @@ def adjunction_report(n: int, window) -> Report:
             for c in base.basis():
                 lhs = delta(ks, xk * c.rep)
                 rhs = ModuleHom(
-                    ks,
-                    "nu",
-                    [base.normal_form(v.rep * c.rep) for v in delta_xk.values],
+                    ks, [base.normal_form(v.rep * c.rep) for v in delta_xk.values]
                 )
                 if lhs != rhs:
                     ok_linear = False

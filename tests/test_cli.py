@@ -143,7 +143,7 @@ def test_basis_zero_algebra(capsys):
 def test_size_cap_applies(capsys):
     code, _, err = run(capsys, ["dim", "--nu", "3,3,3"])
     assert code == 2
-    assert "COINV_NMAX" in err
+    assert "maximum 7" in err
 
 
 def test_quotient_commands_stop_below_the_tableau_cap(capsys):
@@ -157,20 +157,16 @@ def test_quotient_commands_stop_below_the_tableau_cap(capsys):
     ):
         code, _, err = run(capsys, argv)
         assert code == 2, argv
-        assert "maximum 7" in err and "COINV_NMAX" in err, argv
+        assert "maximum 7" in err, argv
     code, out, _ = run(capsys, ["kf", "--tau", "4,4", "--mu", "2,2,2,2"])
     assert code == 0
     assert "kostka_foulkes" in out
 
 
-def test_size_cap_overridable(capsys, monkeypatch):
-    monkeypatch.setenv("COINV_NMAX", "9")
-    code, out, _ = run(capsys, ["dim", "--nu", "9"])
-    assert code == 0
-    assert "dim = 1" in out
-    monkeypatch.setenv("COINV_NMAX", "2")
-    code, _, _ = run(capsys, ["dim", "--nu", "1,1,1"])
+def test_tableau_commands_stop_above_eight(capsys):
+    code, _, err = run(capsys, ["kostka", "--lam", "9", "--nu", "9"])
     assert code == 2
+    assert "maximum 8" in err
 
 
 # ----------------------------------------------------------------------
@@ -387,16 +383,13 @@ def test_verify_output_deterministic(capsys):
 def test_verify_rejects_oversized_n(capsys):
     code, _, err = run(capsys, ["verify", "--suite", "identities", "--n", "6"])
     assert code == 2
-    assert "COINV_NMAX" in err
+    assert "maximum 5" in err
 
 
-@pytest.mark.parametrize("r_max, code", [("0", 2), ("5", 2), ("4", 0)])
-def test_verify_r_max_lies_in_one_to_2n(capsys, r_max, code):
-    argv = ["verify", "--suite", "identities", "--n", "2", "--r-max", r_max]
-    got, out, err = run(capsys, argv)
-    assert got == code
-    assert ("--r-max must be between 1 and 2n = 4" in err) == (code == 2)
-    assert ("r_max=4" in out) == (code == 0)
+def test_verify_identities_check_r_up_to_2n(capsys):
+    code, out, _ = run(capsys, ["verify", "--suite", "identities", "--n", "2"])
+    assert code == 0
+    assert "r_max=4" in out
 
 
 def test_verify_rejects_oversized_window(capsys):
@@ -408,7 +401,7 @@ def test_verify_rejects_oversized_window(capsys):
 
 def test_verify_accepts_default_window_at_suite_cap(capsys, monkeypatch):
     # C(9, 5) = 126 compositions of 5 on (1, 5); a cheap suite keeps it quick
-    monkeypatch.setattr(cli, "_suite_ideals_equal", lambda n, window: [])
+    monkeypatch.setitem(cli.SUITES, "ideals-equal", lambda n, window: [])
     code, _, _ = run(capsys, ["verify", "--suite", "ideals-equal", "--n", "5"])
     assert code == 0
 
@@ -419,6 +412,30 @@ def test_dim_222_finishes(capsys):
     assert code == 0
     assert "dim = 90" in out
     assert time.perf_counter() - start < 10
+
+
+def test_present_h_form_at_the_tableau_cap_finishes():
+    """n = 8 is within present's cap, so the h-form list must be printable:
+    about 4 MB in a few seconds.  A list that ran every r up to a degree
+    cap would build tens of millions of terms; the address-space limit
+    turns that into a quick failure instead of exhausting the host."""
+    import resource
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    src = str(Path(coinv.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = ["present", "--nu", "1,1,1,1,1,1,1,1", "--mu", "regular", "--form", "h"]
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "coinv.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120, preexec_fn=limit_memory,
+    )
+    assert done.returncode == 0, done.stderr[-500:]
+    assert time.perf_counter() - start < 30
+    assert done.stdout.startswith("ideal generators (h-form)")
 
 
 def test_verify_unknown_suite_exits_two():

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import random
 import time
@@ -118,6 +119,28 @@ def test_tanisaki_generators_sorted_by_degree():
     for gens in (tanisaki_generators_e(nu, nu), tanisaki_generators_h(nu, nu)):
         degs = [g.degree() for g in gens]
         assert degs == sorted(degs)
+
+
+def test_trimmed_h_list_generates_the_untrimmed_ideal():
+    """Each block set S contributes h_r(X_S) for the first |S| degrees r
+    above its bound; every r up to past the top degree gives the same ideal."""
+    for n in range(1, 5):
+        for mu in partitions_of(n):
+            lam = transpose(mu)
+            for nu in compositions_of(n, (1, n)):
+                top = max(n, coinvariant_top_degree(nu) // 2 + 1)
+                support = [i for i in nu.indices() if nu[i] > 0]
+                untrimmed = []
+                for m in range(len(support) + 1):
+                    for combo in itertools.combinations(support, m):
+                        union = sorted(v for i in combo for v in nu.block_range(i))
+                        bound = lam.head_sum(m) - len(union)
+                        untrimmed.extend(
+                            h_sym(n, union, r) for r in range(max(bound + 1, 0), top + 1)
+                        )
+                trimmed = tanisaki_generators_h(mu, nu)
+                assert set(trimmed) <= set(untrimmed)
+                assert ideals_equal(trimmed, untrimmed, nu), (mu, nu)
 
 
 def test_tanisaki_zero_block_variant_same_ideal():
@@ -947,19 +970,17 @@ def test_r_route_matches_orbit_sum_route():
         for nu, mu, form in standard_pairs(n)
     )
     assert checked == 293
-    # at n = 5 the orbit-sum reference takes about 20 s on some h-form
-    # generator lists that reach above degree 2n (mu = 1^5 with
-    # nu = 2,1,1,1), so the sample is drawn from the non-zero pairs
-    # whose generators stay within 2n
-    def reference_is_quick(nu, mu, form):
-        gens = build(nu, mu, form).generators
-        return max(g.degree() for g in gens) <= 2 * nu.n
-
-    quick_pairs = [
+    # every generator list stays within degree 2n (the h-form list is
+    # trimmed), so the n = 5 sample is drawn from all non-zero pairs
+    nonzero_pairs = [
         (nu, mu, form) for nu, mu, form in standard_pairs(5)
-        if (mu is None or is_nonzero(mu, nu)) and reference_is_quick(nu, mu, form)
+        if mu is None or is_nonzero(mu, nu)
     ]
-    for pair in random.Random(5).sample(quick_pairs, 12):
+    assert all(
+        max(g.degree() for g in build(nu, mu, form).generators) <= 2 * nu.n
+        for nu, mu, form in nonzero_pairs
+    )
+    for pair in random.Random(5).sample(nonzero_pairs, 12):
         assert assert_engines_agree(*pair, rng)
 
 

@@ -70,23 +70,14 @@ def test_delta_inverse_both_ways():
                     values = [
                         w if t == s else base.zero() for t in range(ks.a + 1)
                     ]
-                    hom = ModuleHom(ks, "nu", values)
+                    hom = ModuleHom(ks, values)
                     assert delta(ks, delta_inv(ks, hom)) == hom
-
-
-def test_delta_inv_requires_nu_side():
-    ks = KeySituation(1, comp(1, 1))
-    hom = ModuleHom(ks, "nu_prime", [presentation(ks.nu_prime).one()] * 2)
-    with pytest.raises(ValueError):
-        delta_inv(ks, hom)
 
 
 def test_module_hom_validates_rank():
     ks = KeySituation(1, comp(2))
     with pytest.raises(ValueError):
-        ModuleHom(ks, "nu", [presentation(ks.nu).one()])
-    with pytest.raises(ValueError):
-        ModuleHom(ks, "sideways", [])
+        ModuleHom(ks, [presentation(ks.nu).one()])
 
 
 def test_hom_evaluation_extends_by_linearity():
