@@ -327,6 +327,24 @@ def test_tableaux_kinds(capsys):
     )
     assert code == 0
     assert out.splitlines()[0] == "count = 2"
+    # the fillings themselves, in row-major order, on a shape with two rows
+    argv = ["tableaux", "--lam", "3,1", "--nu", "1,2,1", "--output", "json"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    data = json.loads(out)
+    assert data["kind"] == "column-strict" and data["count"] == 5
+    assert data["tableaux"] == [
+        [[1, 2, 2], [3]],
+        [[1, 2, 3], [2]],
+        [[1, 3, 2], [2]],
+        [[2, 1, 2], [3]],
+        [[2, 2, 1], [3]],
+    ]
+    code, out, _ = run(capsys, argv + ["--kind", "semistandard"])
+    assert code == 0
+    data = json.loads(out)
+    assert data["kind"] == "semistandard" and data["count"] == 2
+    assert data["tableaux"] == [[[1, 2, 2], [3]], [[1, 2, 3], [2]]]
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import random
 import time
 
 import pytest
@@ -186,6 +187,52 @@ class TestBruteForceCounts:
                     for nu in comps(m):
                         cs, ss = brute_force_fillings(lam, nu)
                         assert _vanishes(lam, nu) == (cs == 0) == (ss == 0), (lam, nu)
+
+
+class TestEnumerateAtSeven:
+    """The sizes the benchmark runs: every shape of 7 against every content
+    of 7 with at most four letters, each in a seeded random order, plus one
+    content with an offset and an interior zero."""
+
+    @staticmethod
+    def _contents():
+        rng = random.Random(7)
+        out = [
+            Composition(1, rng.sample(mu.parts, len(mu.parts)))
+            for mu in partitions_of(7)
+            if len(mu.parts) <= 4
+        ]
+        out.append(Composition(-2, [2, 0, 1, 3, 1]))
+        return out
+
+    def _check(self, enumerate_fn, count_fn, condition):
+        started = time.perf_counter()
+        total = 0
+        for nu in self._contents():
+            for lam in partitions_of(7):
+                got = enumerate_fn(lam, nu)
+                assert len(got) == count_fn(lam, nu), (lam, nu)
+                assert len(set(got)) == len(got), (lam, nu)
+                keys = [tuple(v for row in t.rows for v in row) for t in got]
+                assert all(a < b for a, b in zip(keys, keys[1:])), (lam, nu)
+                for t in got:
+                    checked = Tableau(t.rows)
+                    assert t == checked and checked.shape == lam, t
+                    assert checked.content() == nu and condition(checked), t
+                total += len(got)
+        assert total
+        return time.perf_counter() - started
+
+    def test_column_strict(self):
+        # 3 879 fillings, 107 requests with none; about 0.05 s on a 2-core host
+        assert self._check(enumerate_column_strict, count_column_strict, is_column_strict) < 10
+
+    def test_semistandard(self):
+        def semistandard(t):
+            return is_column_strict(t) and is_row_weak(t)
+
+        # 138 fillings
+        assert self._check(enumerate_semistandard, kostka, semistandard) < 10
 
 
 class TestTrustedConstruction:
