@@ -56,7 +56,6 @@ from .glaction import (
     hilbert_identity_check,
     ideal_invariance_check,
     relation_report,
-    weight_dim_report,
 )
 from .traces import (
     ModuleHom,
@@ -113,7 +112,6 @@ __all__ = [
     "hilbert_identity_check",
     "ideal_invariance_check",
     "relation_report",
-    "weight_dim_report",
     "ModuleHom",
     "PowerBasisTensor",
     "adjunction_report",

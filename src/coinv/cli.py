@@ -26,7 +26,6 @@ from .glaction import (
     hilbert_identity_check,
     ideal_invariance_check,
     relation_report,
-    weight_dim_report,
 )
 from .polynomials import Poly, verify_identity_suite
 from .quotients import (
@@ -159,8 +158,6 @@ def cmd_present(args) -> int:
     nu = parse_composition(args.nu)
     check_size(nu.n)
     mu = parse_mu(args.mu, nu.n)
-    if mu is None:
-        raise InputError("present requires --mu (a composition or 'regular')")
     if args.form == "h":
         gens = tanisaki_generators_h(mu, nu)
     else:
@@ -447,10 +444,6 @@ def _suite_ideal_invariance(n: int, window: tuple) -> list:
     return [ideal_invariance_check(mu, window) for mu in partitions_of(n)]
 
 
-def _suite_weights(n: int, window: tuple) -> list:
-    return [weight_dim_report(mu, window) for mu in partitions_of(n)]
-
-
 def _suite_hilbert(n: int, window: tuple) -> list:
     report = Report(f"graded character identity, n={n}")
     ok = True
@@ -479,7 +472,6 @@ SUITES = {
     "dims": _suite_dims,
     "relations": _suite_relations,
     "ideal-invariance": _suite_ideal_invariance,
-    "weights": _suite_weights,
     "hilbert": _suite_hilbert,
     "traces": _suite_traces,
 }

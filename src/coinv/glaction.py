@@ -57,9 +57,8 @@ from .shapes import (
     partitions_of,
     quotient_top_degree,
     sort_to_partition,
-    transpose,
 )
-from .tableaux import count_column_strict, kostka, kostka_foulkes
+from .tableaux import kostka, kostka_foulkes
 
 
 class Side(NamedTuple):
@@ -247,7 +246,7 @@ def _power_coords(m: int, last: bool, e: tuple) -> tuple:
     )
 
 
-def decompose_over(ks: KeySituation, f, side: str) -> list:
+def decompose_over(ks: KeySituation, f: Poly, side: str) -> list:
     """Coefficients of f over the power basis of x_k for one side.
 
     Returns polynomials z_0..z_top in the side's invariant ring with
@@ -266,8 +265,6 @@ def decompose_over(ks: KeySituation, f, side: str) -> list:
     exponent.
     """
     s = ks.side(side)
-    if isinstance(f, QuotientElement):
-        f = f.rep
     if f.n != ks.n:
         raise ValueError("wrong variable count")
     try:
@@ -300,6 +297,10 @@ def decompose_over(ks: KeySituation, f, side: str) -> list:
 # module-level (basis formula) operators
 
 
+# Unbounded: one entry per key situation (nu, i), side and power r up to
+# the opposite side's top, so it grows with the weights a run visits, not
+# with the elements moved.  It holds 210 entries after ``verify --suite
+# all --n 4`` and 1 008 after ``--n 5`` (cold, in process).
 @lru_cache(maxsize=None)
 def _power_image(nu: Composition, i: int, r: int, side: str) -> Poly:
     """Image of x_k^r under the pushforward composite off the named side.
@@ -570,22 +571,14 @@ class WeightFamily:
         return f"WeightFamily({{{body}}})"
 
 
-def parse_op_word(word) -> list:
+def parse_op_word(word: str) -> list:
     """Parse \"F_2 F_1 E_2\" into [(op, index), ...] left to right."""
-    if isinstance(word, str):
-        tokens = word.split()
-    else:
-        tokens = list(word)
     out = []
-    for tok in tokens:
-        if isinstance(tok, tuple):
-            op, i = tok
-        else:
-            op, _, idx = tok.partition("_")
-            if op not in ("D", "E", "F") or not idx.lstrip("-").isdigit():
-                raise ValueError(f"bad operator token {tok!r}")
-            i = int(idx)
-        out.append((op, i))
+    for tok in word.split():
+        op, _, idx = tok.partition("_")
+        if op not in ("D", "E", "F") or not idx.lstrip("-").isdigit():
+            raise ValueError(f"bad operator token {tok!r}")
+        out.append((op, int(idx)))
     return out
 
 
@@ -748,36 +741,14 @@ def ideal_invariance_check(mu, window: tuple) -> Report:
     return report
 
 
-def weight_dim_report(mu, window: tuple) -> Report:
-    """Weight space dimensions against tableau counts."""
-    mu = sort_to_partition(mu)
-    n = mu.n
-    lam = transpose(mu)
-    report = Report(f"weight dimensions, shape {mu.parts}, window {window}")
-    ok_dim = ok_top = True
-    for nu in compositions_of(n, window):
-        pres = presentation(nu, mu)
-        d = pres.dim()
-        if d != count_column_strict(lam, nu):
-            ok_dim = False
-        if d:
-            h = pres.hilbert()
-            if h.coeffs[-1] != kostka(lam, nu):
-                ok_top = False
-            if len(h.coeffs) - 1 != quotient_top_degree(nu, mu):
-                ok_top = False
-    report.add("dimensions_match_column_strict_counts", ok_dim)
-    report.add("top_graded_piece_matches_kostka", ok_top)
-    return report
-
-
 def hilbert_identity_check(mu, nu: Composition) -> bool:
     """Graded dimensions against the charge generating function.
 
     The Hilbert polynomial of the cut quotient must match
     t^top * sum over transpose pairs (kappa, tau) of partitions of n of
-    (number of column-strict kappa-tableaux of content nu) times the
-    charge polynomial of tau over mu evaluated at t^(-2).
+    the Kostka number K_{kappa nu} (semistandard kappa-tableaux of
+    content nu) times the charge polynomial of tau over mu evaluated at
+    t^(-2).
     """
     mu = sort_to_partition(mu)
     pres = presentation(nu, mu)

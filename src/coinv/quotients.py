@@ -79,6 +79,10 @@ from .tableaux import IntPoly
 # block combinatorics of exponent vectors
 
 
+# Unbounded: one small tuple per composition looked up, so it grows with
+# the weights a run visits, not with the polynomials reduced.  It holds
+# 71 entries after ``verify --suite all --n 4`` and 266 after ``--n 5``
+# (cold, in process).
 @lru_cache(maxsize=None)
 def _blocks_of(nu: Composition) -> tuple:
     """Half-open 0-based (start, stop) spans of the non-empty blocks."""
@@ -138,6 +142,10 @@ def _wd_tuples(length: int, total: int) -> tuple:
     return tuple(out)
 
 
+# Unbounded: one tuple per (block layout, degree), so it grows with the
+# layouts and degrees a run visits, not with the polynomials reduced.  It
+# holds 78 entries after ``verify --suite all --n 4`` and 230 after
+# ``--n 5`` (cold, in process).
 @lru_cache(maxsize=None)
 def _canonical_exps(blocks: tuple, n: int, d: int) -> tuple:
     """Canonical exponent vectors of internal degree d, ascending order."""
@@ -163,6 +171,11 @@ def _canonical_exps(blocks: tuple, n: int, d: int) -> tuple:
     return tuple(out)
 
 
+# Unbounded: one orbit sum per (block layout, canonical exponent), the
+# columns of the degree slices and power systems built, so it grows with
+# the layouts and degrees a run visits, not with the polynomials reduced.
+# It holds 405 entries after ``verify --suite all --n 4`` and 4 613 after
+# ``--n 5`` (cold, in process).
 @lru_cache(maxsize=None)
 def _orbit_poly(blocks: tuple, n: int, exp: tuple) -> Poly:
     """Sum of the distinct block-rearrangements of a canonical monomial."""
@@ -850,6 +863,11 @@ def presentation(nu: Composition, mu=None) -> QuotientPresentation:
     )
 
 
+# Unbounded: one presentation per (weight, shape) pair, and the
+# presentations on one block layout and ideal share one ``_graded``
+# algebra, so it grows with the pairs a run visits.  It holds 269 entries
+# after ``verify --suite all --n 4`` and 1 311 after ``--n 5`` (cold, in
+# process).
 @lru_cache(maxsize=None)
 def _standard_presentation(nu: Composition, mu):
     if mu is None:

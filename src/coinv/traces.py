@@ -35,12 +35,8 @@ from .reporting import Report
 from .shapes import compositions_of
 
 
-def _as_poly(ks: KeySituation, x) -> Poly:
-    if isinstance(x, QuotientElement):
-        return x.rep
-    if isinstance(x, Poly):
-        return x
-    return Poly.const(ks.n, x)
+def _as_poly(x) -> Poly:
+    return x.rep if isinstance(x, QuotientElement) else x
 
 
 class ModuleHom:
@@ -62,7 +58,7 @@ class ModuleHom:
         """Apply the map to an arbitrary element of the refined quotient."""
         ks = self.ks
         base = presentation(ks.nu)
-        coeffs = decompose_over(ks, _as_poly(ks, y), "nu")
+        coeffs = decompose_over(ks, _as_poly(y), "nu")
         acc = Poly.zero(ks.n)
         for w, val in zip(coeffs, self.values):
             if not w.is_zero:
@@ -113,10 +109,7 @@ class PowerBasisTensor:
         n = ks.n
         collected = [Poly.zero(n) for _ in range(junction.top + 1)]
         for left, right in pairs:
-            left = _as_poly(ks, left)
-            right = _as_poly(ks, right)
-            if left.is_zero or right.is_zero:
-                continue
+            left, right = _as_poly(left), _as_poly(right)
             for r, z in enumerate(decompose_over(ks, left, junction.name)):
                 if not z.is_zero:
                     collected[r] = collected[r] + z * right
@@ -147,7 +140,7 @@ class PowerBasisTensor:
         """
         if factor not in ("left", "right"):
             raise ValueError("factor must be 'left' or 'right'")
-        z = _as_poly(self.ks, z)
+        z = _as_poly(z)
         n, k = self.ks.n, self.ks.k
         xk = Poly.var(n, k)
         pairs = []
@@ -181,7 +174,7 @@ class PowerBasisTensor:
 
 def delta(ks: KeySituation, g) -> ModuleHom:
     """Pair against g: the basis power x_k^s maps to push(g x_k^s)."""
-    g = _as_poly(ks, g)
+    g = _as_poly(g)
     xk = Poly.var(ks.n, ks.k)
     values = [push(ks, g * xk**s, "nu") for s in range(ks.a + 1)]
     return ModuleHom(ks, values)
@@ -220,17 +213,14 @@ def _unit_pairs(ks: KeySituation, side: Side) -> list:
     return pairs
 
 
-def _counit(ks: KeySituation, side: str, first, second) -> QuotientElement:
-    """One side's pairing: multiply the factors and push down.
+def _counit(ks: KeySituation, side: str, t: PowerBasisTensor) -> QuotientElement:
+    """One side's pairing on a canonical tensor: multiply and push down.
 
-    Accepts either an explicit pair of factors or a canonicalized tensor
-    (second None); on basis powers the values are sign * h_{r+s-top}
-    over the side's block.
+    On basis powers the values are sign * h_{r+s-top} over the side's
+    block; on an explicit pair (f, g) the pairing is push(ks, f * g, side).
     """
-    if second is not None:
-        return push(ks, _as_poly(ks, first) * _as_poly(ks, second), side)
     acc = Poly.zero(ks.n)
-    for left, right in first.pairs():
+    for left, right in t.pairs():
         acc = acc + push_poly(ks, left * right, side)
     return presentation(ks.side(side).base).normal_form(acc)
 
@@ -268,14 +258,14 @@ def unit_iota(ks: KeySituation) -> PowerBasisTensor:
     return _unit(ks, "nu_prime")
 
 
-def counit_eps(ks: KeySituation, first, second=None) -> QuotientElement:
+def counit_eps(ks: KeySituation, t: PowerBasisTensor) -> QuotientElement:
     """The nu-side pairing; values (-1)^a h_{r+s-a} over block i."""
-    return _counit(ks, "nu", first, second)
+    return _counit(ks, "nu", t)
 
 
-def counit_eps_prime(ks: KeySituation, first, second=None) -> QuotientElement:
+def counit_eps_prime(ks: KeySituation, t: PowerBasisTensor) -> QuotientElement:
     """The nu_prime-side pairing; values h_{r+s-b} over block i+1."""
-    return _counit(ks, "nu_prime", first, second)
+    return _counit(ks, "nu_prime", t)
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,7 @@ import argparse
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -20,6 +21,7 @@ from coinv.cli import (
     parse_window,
 )
 from coinv.shapes import Composition, Partition
+from coinv.tableaux import IntPoly
 
 
 def run(capsys, argv):
@@ -138,6 +140,34 @@ def test_basis_zero_algebra(capsys):
     code, out, _ = run(capsys, ["basis", "--mu", "2,2", "--nu", "4"])
     assert code == 0
     assert "zero algebra" in out
+
+
+def test_basis_rejects_an_odd_degree(capsys):
+    argv = ["basis", "--mu", "1,2,1", "--nu", "1,2,1", "--degree", "3"]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "degree must be even and non-negative" in err
+
+
+def test_basis_lists_every_degree_up_to_the_top(capsys):
+    code, out, _ = run(
+        capsys, ["basis", "--mu", "1,2,1", "--nu", "1,2,1", "--output", "json"]
+    )
+    assert code == 0
+    blocks = json.loads(out)["degrees"]
+    sizes = {b["degree"]: len(b["basis"]) for b in blocks}
+    assert sizes == {0: 1, 2: 2, 4: 2}
+    code, out, _ = run(capsys, ["dim", "--mu", "1,2,1", "--nu", "1,2,1"])
+    assert code == 0
+    assert out.splitlines()[0] == f"dim = {sum(sizes.values())}"
+
+
+def test_present_requires_mu(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["present", "--nu", "1,2,1"])
+    assert info.value.code == 2
+    assert "--mu" in capsys.readouterr().err
 
 
 def test_size_cap_applies(capsys):
@@ -352,10 +382,24 @@ def test_tableaux_kinds(capsys):
 
 
 def test_verify_single_suites_pass(capsys):
-    for suite in ("identities", "ideals-equal", "dims", "weights", "hilbert"):
+    for suite in ("identities", "ideals-equal", "dims", "hilbert"):
         code, out, _ = run(capsys, ["verify", "--suite", suite, "--n", "2"])
         assert code == 0, suite
         assert "0 failed" in out
+
+
+def test_verify_rejects_n_below_one(capsys):
+    code, out, err = run(capsys, ["verify", "--suite", "dims", "--n", "0"])
+    assert code == 2
+    assert out == ""
+    assert "--n must be at least 1" in err
+
+
+def test_verify_has_no_weights_suite():
+    # the dims suite checks every weight-space dimension claim
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--suite", "weights"])
+    assert info.value.code == 2
 
 
 def test_verify_traces_and_relations(capsys):
@@ -479,6 +523,94 @@ def test_error_classes_map_to_exit_codes(capsys, monkeypatch, exc, code, prefix)
     got, _, err = run(capsys, ["dim", "--nu", "1,1"])
     assert got == code
     assert err.startswith(prefix)
+
+
+# ----------------------------------------------------------------------
+# every check of the suites can fail
+
+
+def _plus_one(fn):
+    return lambda *args: fn(*args) + 1
+
+
+class _Lopsided:
+    """A plain presentation whose Hilbert series gains 1 in degree 0."""
+
+    def __init__(self, pres):
+        self._pres = pres
+
+    def dim(self):
+        return self._pres.dim()
+
+    def hilbert(self):
+        return self._pres.hilbert() + IntPoly([1])
+
+
+def _lopsided_plain(presentation):
+    def fake(nu, mu=None):
+        pres = presentation(nu, mu)
+        return pres if mu is not None else _Lopsided(pres)
+
+    return fake
+
+
+def _negated(fn):
+    return lambda *args: not fn(*args)
+
+
+# (suite, name in coinv.cli, replacement, the checks it must fail)
+SUITE_MUTANTS = [
+    ("dims", "factorial", _plus_one(cli.factorial), {
+        "regular_coinvariants_have_group_order_dimension",
+        "partial_coinvariant_dimension_is_orbit_count",
+    }),
+    ("dims", "_orbit_count", _plus_one(cli._orbit_count), {
+        "partial_coinvariant_dimension_is_orbit_count",
+    }),
+    ("dims", "presentation", _lopsided_plain(cli.presentation), {
+        "coinvariant_hilbert_series_is_palindromic",
+    }),
+    ("dims", "count_column_strict", _plus_one(cli.count_column_strict), {
+        "dimension_matches_column_strict_count",
+    }),
+    ("dims", "is_nonzero", _negated(cli.is_nonzero), {
+        "vanishing_matches_dominance",
+    }),
+    ("dims", "quotient_top_degree", _plus_one(cli.quotient_top_degree), {
+        "top_degree_and_top_dimension_formulas",
+    }),
+    ("dims", "kostka", _plus_one(cli.kostka), {
+        "top_degree_and_top_dimension_formulas",
+    }),
+    ("ideals-equal", "ideals_equal", lambda *args: False, {
+        "generator_forms_define_equal_ideals",
+    }),
+    ("hilbert", "hilbert_identity_check", lambda *args: False, {
+        "hilbert_series_matches_charge_generating_function",
+    }),
+]
+
+
+@pytest.mark.parametrize(
+    "suite, name, fake, failing", SUITE_MUTANTS, ids=[m[1] for m in SUITE_MUTANTS]
+)
+def test_each_suite_check_can_fail(capsys, monkeypatch, suite, name, fake, failing):
+    monkeypatch.setattr(cli, name, fake)
+    argv = ["verify", "--suite", suite, "--n", "3", "--output", "json"]
+    code, out, _ = run(capsys, argv)
+    assert code == cli.EXIT_VERIFY == 1
+    data = json.loads(out)
+    checks = [c for rep in data["reports"] for c in rep["checks"]]
+    assert {c["name"] for c in checks if not c["passed"]} == failing
+    assert data["passed"] is False
+    assert data["counts"]["failed"] == len(failing)
+    if suite != "dims":
+        (check,) = [c for c in checks if not c["passed"]]
+        assert re.fullmatch(r"mu=[\d,]+@1 nu=[\d,]+@1", check["detail"])
+    code, out, _ = run(capsys, argv[:-2])
+    assert code == 1
+    fails = [ln.split()[1] for ln in out.splitlines() if ln.startswith("  FAIL  ")]
+    assert set(fails) == failing
 
 
 # ----------------------------------------------------------------------

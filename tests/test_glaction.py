@@ -23,7 +23,6 @@ from coinv.glaction import (
     push,
     push_poly,
     relation_report,
-    weight_dim_report,
 )
 from coinv.polynomials import Poly, Q, e_block
 from coinv.quotients import (
@@ -41,6 +40,7 @@ from coinv.shapes import (
     sort_to_partition,
     transpose,
 )
+from coinv.tableaux import count_column_strict, kostka
 
 from reference import (
     antisymmetrize,
@@ -579,7 +579,6 @@ def test_window_overflow_on_nonzero_images_only():
 
 def test_operator_word_parsing():
     assert parse_op_word("F_2 F_1 E_2") == [("F", 2), ("F", 1), ("E", 2)]
-    assert parse_op_word([("D", 3)]) == [("D", 3)]
     with pytest.raises(ValueError):
         parse_op_word("G_1")
     with pytest.raises(ValueError):
@@ -769,12 +768,6 @@ def test_ideal_invariance_check_reaches_past_the_generator_degrees(monkeypatch):
     }
 
 
-def test_weight_dim_report_small():
-    for mu in partitions_of(3):
-        rep = weight_dim_report(Composition(1, list(mu.parts)), (1, 3))
-        assert rep.passed
-
-
 def test_hilbert_identity_worked_example():
     assert hilbert_identity_check(comp(1, 2, 1), comp(1, 2, 1))
 
@@ -786,6 +779,25 @@ def test_hilbert_identity_small_sweep():
             for nu in compositions_of(n, (1, 3)):
                 if not presentation(nu, mu_c).is_zero_algebra:
                     assert hilbert_identity_check(mu_c, nu)
+
+
+def test_hilbert_identity_weighs_by_kostka_numbers(monkeypatch):
+    """The multiplicity of each charge polynomial is K_{kappa nu}, the
+    semistandard count; the column-strict count is a different number."""
+    kappa = Partition([2, 1])
+    assert kostka(kappa, comp(1, 1, 1)) == 2
+    assert count_column_strict(kappa, comp(1, 1, 1)) == 3
+    monkeypatch.setattr(glaction, "kostka", count_column_strict)
+    broken = []
+    for n in (1, 2, 3):
+        for mu in partitions_of(n):
+            for nu in compositions_of(n, (1, n)):
+                if presentation(nu, mu).is_zero_algebra:
+                    continue
+                if not hilbert_identity_check(mu, nu):
+                    broken.append((mu, nu))
+    assert broken[0] == (Partition([1, 1]), comp(1, 1))
+    assert len(broken) == 9
 
 
 def test_hilbert_identity_rejects_zero_algebra():

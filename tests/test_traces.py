@@ -118,10 +118,9 @@ def test_counit_values_on_extreme_powers():
     for ks in key_situations(3):
         xk = Poly.var(3, ks.k)
         sign = Q(-1 if ks.a % 2 else 1)
-        assert counit_eps(ks, xk**ks.a, Poly.one(3)).rep == Poly.const(
-            3, sign
-        )
-        assert counit_eps_prime(ks, xk**ks.b, Poly.one(3)).rep == Poly.one(3)
+        # the pairing of an explicit pair (f, g) is push(ks, f * g, side)
+        assert push(ks, xk**ks.a, "nu").rep == Poly.const(3, sign)
+        assert push(ks, xk**ks.b, "nu_prime").rep == Poly.one(3)
 
 
 def test_tensor_rejects_bad_shape():
