@@ -374,6 +374,11 @@ def _suite_identities(n: int, window: tuple) -> list:
     return [verify_identity_suite(n, 2 * n), quotient_identity_report(n, 2 * n)]
 
 
+def _pair(mu, nu: Composition) -> str:
+    """A check's detail: the (mu, nu) pair it failed on first."""
+    return f"mu={format_composition(Composition(1, mu))} nu={format_composition(nu)}"
+
+
 def _suite_ideals_equal(n: int, window: tuple) -> list:
     report = Report(f"h-form vs e-form generators, n={n}")
     ok = True
@@ -384,53 +389,69 @@ def _suite_ideals_equal(n: int, window: tuple) -> list:
             ge = tanisaki_generators_e(mu, nu)
             if not ideals_equal(gh, ge, nu):
                 ok = False
-                bad = bad or (
-                    f"mu={format_composition(Composition(1, mu))} "
-                    f"nu={format_composition(nu)}"
-                )
+                bad = bad or _pair(mu, nu)
     report.add("generator_forms_define_equal_ideals", ok, bad)
     return [report]
 
 
 def _suite_dims(n: int, window: tuple) -> list:
     report = Report(f"dimension formulas, n={n}")
-    regular = Composition(1, [1] * n)
-    report.add(
+    names = (
         "regular_coinvariants_have_group_order_dimension",
-        presentation(regular).dim() == factorial(n),
+        "partial_coinvariant_dimension_is_orbit_count",
+        "coinvariant_hilbert_series_is_palindromic",
+        "dimension_matches_column_strict_count",
+        "vanishing_matches_dominance",
+        "top_degree_matches_formula",
+        "top_coefficient_is_kostka_number",
     )
+    first: dict = {}  # check name -> the pair it failed on first
 
-    ok_orbit = ok_sym = True
+    def check(name: str, passed: bool, mu, nu: Composition) -> None:
+        if not passed:
+            first.setdefault(name, _pair(mu, nu))
+
+    # the plain algebra is the shape-cut quotient of mu = 1^n
+    plain = [1] * n
+    regular = Composition(1, plain)
+    check(
+        "regular_coinvariants_have_group_order_dimension",
+        presentation(regular).dim() == factorial(n), plain, regular,
+    )
     for nu in compositions_of(n, window):
         pres = presentation(nu)
-        if pres.dim() != _orbit_count(nu):
-            ok_orbit = False
+        check(
+            "partial_coinvariant_dimension_is_orbit_count",
+            pres.dim() == _orbit_count(nu), plain, nu,
+        )
         coeffs = list(pres.hilbert().coeffs)
-        if coeffs != coeffs[::-1]:
-            ok_sym = False
-    report.add("partial_coinvariant_dimension_is_orbit_count", ok_orbit)
-    report.add("coinvariant_hilbert_series_is_palindromic", ok_sym)
-
-    ok_count = ok_van = ok_top = True
+        check(
+            "coinvariant_hilbert_series_is_palindromic",
+            coeffs == coeffs[::-1], plain, nu,
+        )
     for mu in partitions_of(n):
         lam = transpose(mu)
         for nu in compositions_of(n, window):
             pres = presentation(nu, mu)
             d = pres.dim()
-            expected = count_column_strict(lam, nu)
-            if d != expected:
-                ok_count = False
-            if (d > 0) != is_nonzero(mu, nu):
-                ok_van = False
+            check(
+                "dimension_matches_column_strict_count",
+                d == count_column_strict(lam, nu), mu, nu,
+            )
+            check("vanishing_matches_dominance", (d > 0) == is_nonzero(mu, nu), mu, nu)
             if d > 0:
                 series = pres.hilbert()
-                if series.degree() != quotient_top_degree(nu, mu):
-                    ok_top = False
-                if series.coeff(series.degree()) != kostka(lam, nu):
-                    ok_top = False
-    report.add("dimension_matches_column_strict_count", ok_count)
-    report.add("vanishing_matches_dominance", ok_van)
-    report.add("top_degree_and_top_dimension_formulas", ok_top)
+                top = series.degree()
+                check(
+                    "top_degree_matches_formula",
+                    top == quotient_top_degree(nu, mu), mu, nu,
+                )
+                check(
+                    "top_coefficient_is_kostka_number",
+                    series.coeff(top) == kostka(lam, nu), mu, nu,
+                )
+    for name in names:
+        report.add(name, name not in first, first.get(name, ""))
     return [report]
 
 
@@ -454,10 +475,7 @@ def _suite_hilbert(n: int, window: tuple) -> list:
                 continue
             if not hilbert_identity_check(mu, nu):
                 ok = False
-                bad = bad or (
-                    f"mu={format_composition(Composition(1, mu))} "
-                    f"nu={format_composition(nu)}"
-                )
+                bad = bad or _pair(mu, nu)
     report.add("hilbert_series_matches_charge_generating_function", ok, bad)
     return [report]
 

@@ -41,15 +41,32 @@ Coordinates are read one way, by ``_Echelon.solve``: a degree keeps the
 rows of J R and its basis columns' tagged rows, and a normal form is one
 reduction on them.  ``glaction`` reads power-basis coordinates so too.
 
+Three echelons only answer rank questions, and they are kept fully
+reduced (``_Echelon.insert_reduced``): the echelon of (JR)_d, the span
+echelon of W_d and the test echelon that decides each scanned orbit
+column in ``_r_slice``.  Most rows they see are dependent, and a fully
+reduced echelon clears such a row in one pass.  The canonical basis
+does not change: a span has one set of leading columns however its rows
+are reduced, so every pivot set, and every verdict on a column, is the
+one the lazy ``insert`` gives.  The tagged echelons, a degree's and
+``glaction``'s, stay lazy and get a row only for a kept column: fully
+reducing them would spread the tag entries.
+
+Translates and zero-padded copies of nu share more than the algebra:
+``_layout_generators`` keeps one generator tuple per (shape, block
+layout), and the generator checks run once per list, when ``_graded``
+builds its algebra.
+
 An invariant polynomial's orbit-sum coordinates are its canonical terms,
 since each orbit sum has coefficient one on its canonical monomial.
 ``_orbit_terms`` checks block invariance and reads those coordinates in
 one pass over the terms.  ``glaction.decompose_over`` reads them;
-``normal_form`` and the constructor use the same pass as their
+``normal_form`` and the generator checks use the same pass as their
 invariance check, so every input is checked.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from functools import lru_cache
@@ -352,6 +369,40 @@ class _Echelon:
             row = _row_sub(row, coef, piv)
         return False
 
+    def insert_reduced(self, row: list) -> bool:
+        """``insert`` for an echelon kept fully reduced; False for a dependent row.
+
+        Every pivot row is 1 at its pivot column and 0 at every other
+        pivot column.  So the row is cleared of all its pivot columns in
+        one pass, each pivot row subtracted once with the row's own entry
+        there, and a new pivot row is cleared from the rows already held.
+        The pivot set is the one ``insert`` gives: a fixed span has one
+        set of leading columns, the smallest columns of its non-zero
+        vectors, however its rows are reduced.  So the canonical basis,
+        the non-pivot columns, does not change; only the rows do.
+        """
+        pivots = self.pivots
+        acc = dict(row)
+        for col, coef in row:
+            piv = pivots.get(col)
+            if piv is not None:
+                for c, v in piv:
+                    acc[c] = acc.get(c, 0) - coef * v
+        red = sorted((c, v) for c, v in acc.items() if v != 0)
+        if not red:
+            return False
+        col, coef = red[0]
+        if coef != 1:
+            inv = QONE / coef
+            red = [(c, _coef(v * inv)) for c, v in red]
+        for key, piv in pivots.items():
+            if key < col:
+                i = bisect.bisect_left(piv, (col,))
+                if i < len(piv) and piv[i][0] == col:
+                    pivots[key] = _row_sub(piv, piv[i][1], red)
+        pivots[col] = red
+        return True
+
     def reduce(self, row: list) -> list:
         """Canonical representative with no pivot columns remaining."""
         out = []
@@ -467,13 +518,21 @@ def _nf_row(n: int, f: Poly) -> list:
     return sorted((col, v) for col, v in acc.items() if v != 0)
 
 
+# Unbounded: one entry per (n, variable, standard monomial), and _r_ideal
+# asks only for j < n - 1, so it holds at most n!(n-1) entries per n:
+# 30 240 at n = 7.  It holds 44 after ``verify --suite all --n 4``.
+@lru_cache(maxsize=None)
+def _var_times_col(n: int, j: int, col: int) -> tuple:
+    """Normal form of x_j (0-based) times the standard monomial at col."""
+    exp = _exp_at(n, col)
+    return tuple(_nf_monomial(n, exp[:j] + (exp[j] + 1,) + exp[j + 1 :]).items())
+
+
 def _times_var(n: int, row: list, j: int) -> list:
     """Row over R of x_j (0-based) times a row."""
     acc: dict = {}
     for col, c in row:
-        exp = _exp_at(n, col)
-        up = exp[:j] + (exp[j] + 1,) + exp[j + 1 :]
-        for k, v in _nf_monomial(n, up).items():
+        for k, v in _var_times_col(n, j, col):
             acc[k] = acc.get(k, 0) + c * v
     return sorted((k, v) for k, v in acc.items() if v != 0)
 
@@ -500,7 +559,7 @@ def _r_ideal(n: int, gens: tuple, d: int) -> _Echelon:
     for row in rows:
         if ech.rank == full:
             break
-        ech.insert(row)
+        ech.insert_reduced(row)
     return ech
 
 
@@ -531,11 +590,32 @@ class _Graded:
     built once, by ``_r_slice``, and kept in ``_degrees``; the Hilbert
     series is swept once and kept too.  Identity is the hash, so the
     object keys the normal-form memo.
+
+    The generator checks run here, so once per list: each generator must
+    have n variables, be homogeneous and be block invariant, or this
+    raises (and ``_graded`` keeps nothing).  Whether the list holds
+    e_1..e_n or h_1..h_n of all variables is kept in
+    ``has_lambda_plus``; ``QuotientPresentation`` refuses the list when
+    it does not, naming itself in the message.
     """
 
-    __slots__ = ("blocks", "n", "gens", "_degrees", "_hilbert")
+    __slots__ = (
+        "blocks", "n", "gens", "has_lambda_plus", "is_zero_algebra",
+        "_degrees", "_hilbert",
+    )
 
     def __init__(self, blocks: tuple, n: int, gens: tuple):
+        for g in gens:
+            if g.n != n:
+                raise ValueError("generator has wrong variable count")
+            if not g.is_homogeneous():
+                raise ValueError("generators must be homogeneous")
+            _orbit_terms(g, blocks)
+        full = range(1, n + 1)
+        self.has_lambda_plus = any(
+            all(sym(n, full, r) in gens for r in full) for sym in (e_sym, h_sym)
+        )
+        self.is_zero_algebra = any(g.constant() != 0 for g in gens)
         self.blocks = blocks
         self.n = n
         self.gens = gens
@@ -612,21 +692,22 @@ def _r_slice(alg: _Graded, d: int) -> _DegreeData:
     span = _Echelon()
     span.pivots = dict(ideal.pivots)
     for row in spanning:
-        span.insert(row)
+        span.insert_reduced(row)
     if span.rank == ideal.rank:
         return _EMPTY_DEGREE
     exps = _canonical_exps(blocks, n, d)
     tag = math.factorial(n)
+    test = _Echelon()
+    test.pivots = dict(ideal.pivots)
     ech = _Echelon()
     ech.pivots = dict(ideal.pivots)
     basis = []
     for c in reversed(range(len(exps))):
-        if ech.rank == span.rank:
+        if test.rank == span.rank:
             break
         row = _nf_row(n, _orbit_poly(blocks, n, exps[c]))
-        red = ech.reduce(row + [(tag + c, 1)])
-        if red[0][0] < tag:
-            ech.insert(red)
+        if test.insert_reduced(row):
+            ech.insert(row + [(tag + c, 1)])
             basis.append(c)
     return _DegreeData(exps, ech, tuple(sorted(basis)))
 
@@ -665,26 +746,13 @@ class QuotientPresentation:
         # a zero generator generates nothing
         self.generators = [g for g in generators if not g.is_zero]
         self.label = label or f"quotient over {nu!r}"
-        blocks = _blocks_of(nu)
-        for g in self.generators:
-            if g.n != self.n:
-                raise ValueError("generator has wrong variable count")
-            if not g.is_homogeneous():
-                raise ValueError("generators must be homogeneous")
-            _orbit_terms(g, blocks)
-        full = range(1, self.n + 1)
-        if not any(
-            all(sym(self.n, full, r) in self.generators for r in full)
-            for sym in (e_sym, h_sym)
-        ):
+        self._alg = _graded(_blocks_of(nu), self.n, tuple(self.generators))
+        if not self._alg.has_lambda_plus:
             raise ValueError(
                 f"{self.label}: the generators must include e_1..e_n or "
                 "h_1..h_n of all variables, so that the ideal contains Lambda+"
             )
-        self.is_zero_algebra = any(
-            g.constant() != 0 for g in self.generators
-        )
-        self._alg = _graded(blocks, self.n, tuple(self.generators))
+        self.is_zero_algebra = self._alg.is_zero_algebra
 
     @property
     def top_degree(self):
@@ -863,22 +931,38 @@ def presentation(nu: Composition, mu=None) -> QuotientPresentation:
     )
 
 
+# Unbounded: one tuple per (shape, block layout), so it grows with the
+# pairs a run visits, less their translates and zero-padded copies.  It
+# holds 65 entries after ``verify --suite all --n 4`` (cold, in process),
+# against 269 presentations.
+@lru_cache(maxsize=None)
+def _layout_generators(lam, blocks: tuple, n: int) -> tuple:
+    """The standard generators of every composition with these blocks.
+
+    ``lam`` is transpose(mu), or None for the plain algebra.  Both lists
+    depend on nu only through its non-empty blocks, so they are built on
+    the composition of the block sizes, and translates and zero-padded
+    copies of nu share one tuple.
+    """
+    nu = Composition(1, [stop - start for start, stop in blocks])
+    if lam is None:
+        return tuple(coinvariant_generators(nu))
+    return tuple(tanisaki_generators_e(transpose(lam), nu))
+
+
 # Unbounded: one presentation per (weight, shape) pair, and the
-# presentations on one block layout and ideal share one ``_graded``
-# algebra, so it grows with the pairs a run visits.  It holds 269 entries
-# after ``verify --suite all --n 4`` and 1 311 after ``--n 5`` (cold, in
-# process).
+# presentations on one block layout and ideal share one generator tuple
+# and one ``_graded`` algebra, so it grows with the pairs a run visits.
+# It holds 269 entries after ``verify --suite all --n 4`` and 1 311 after
+# ``--n 5`` (cold, in process).
 @lru_cache(maxsize=None)
 def _standard_presentation(nu: Composition, mu):
+    lam = None if mu is None else transpose(mu)
+    gens = _layout_generators(lam, _blocks_of(nu), nu.n)
     if mu is None:
-        return QuotientPresentation(
-            nu, coinvariant_generators(nu), label=f"coinvariants of {nu!r}"
-        )
+        return QuotientPresentation(nu, gens, label=f"coinvariants of {nu!r}")
     return QuotientPresentation(
-        nu,
-        tanisaki_generators_e(mu, nu),
-        mu=mu,
-        label=f"shape-cut quotient {transpose(mu).parts} over {nu!r}",
+        nu, gens, mu=mu, label=f"shape-cut quotient {lam.parts} over {nu!r}"
     )
 
 

@@ -8,12 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coinv import quotients
 from coinv.errors import NotInvariantError
 from coinv.polynomials import Poly, Q, e_sym, h_sym
 from coinv.quotients import (
     QuotientPresentation,
+    _Echelon,
     _canonical_exps,
     _blocks_of,
+    _graded,
+    _layout_generators,
     _nf_monomial,
     _normal_form_rep,
     _orbit_poly,
@@ -334,6 +338,58 @@ def test_translates_share_one_graded_algebra():
         results[0] + results[1]
     with pytest.raises(NotInvariantError):
         plain[1].normal_form(x[1])
+
+
+def test_translates_and_padded_copies_build_one_generator_list(monkeypatch):
+    built = []
+
+    def counting(mu, nu):
+        built.append(nu)
+        return tanisaki_generators_e(mu, nu)
+
+    monkeypatch.setattr(quotients, "tanisaki_generators_e", counting)
+    _layout_generators.cache_clear()
+    mu = comp(2, 2, 1)
+    # weights no other test asks for, so each call builds a presentation
+    group = [
+        presentation(Composition(23, [2, 1, 2]), mu),
+        presentation(Composition(31, [2, 1, 2]), mu),
+        presentation(Composition(37, [2, 0, 1, 0, 2]), mu),
+    ]
+    assert len(built) == 1
+    assert all(p._alg is group[0]._alg for p in group)
+    assert all(p.generators == group[0].generators for p in group)
+    assert group[0].generators == tanisaki_generators_e(mu, group[2].nu)
+
+
+def test_bad_generator_list_raises_on_every_construction():
+    """The checks run once per list, and a bad list is refused every time."""
+    nu = comp(1, 1)
+    x1, x2 = Poly.var(2, 1), Poly.var(2, 2)
+    gens = coinvariant_generators(nu)
+    wide = comp(2)  # x1 is not invariant once x1 and x2 share a block
+    bad = [
+        (nu, gens + [Poly.var(3, 1)], ValueError, "generator has wrong variable count"),
+        (nu, gens + [x1 + x1 * x2], ValueError, "generators must be homogeneous"),
+        (wide, coinvariant_generators(wide) + [x1], NotInvariantError,
+         "polynomial is not invariant for the blocks x1 x2"),
+    ]
+    size = _graded.cache_info().currsize
+    for block, gens_bad, kind, message in bad:
+        for _ in range(2):
+            with pytest.raises(kind) as info:
+                QuotientPresentation(block, gens_bad)
+            assert str(info.value) == message
+    assert _graded.cache_info().currsize == size
+    # without Lambda+, each construction names its own presentation
+    short = [e_sym(2, [1, 2], 2)]
+    for label in ("first list", "second list", "first list"):
+        with pytest.raises(ValueError) as info:
+            QuotientPresentation(nu, short, label=label)
+        assert str(info.value) == (
+            f"{label}: the generators must include e_1..e_n or h_1..h_n of "
+            "all variables, so that the ideal contains Lambda+"
+        )
 
 
 def test_normal_form_memo_keeps_presentations_over_one_nu_apart():
@@ -1056,3 +1112,76 @@ def test_regular_series_matches_garsia_procesi_recursion():
             pairs += 1
     assert pairs == 29
     assert time.monotonic() - started < 30
+
+
+def combine(a, scale, b):
+    """a + scale * b for sorted sparse rows."""
+    acc = dict(a)
+    for col, v in b:
+        acc[col] = acc.get(col, 0) + scale * v
+    return sorted((c, v) for c, v in acc.items() if v != 0)
+
+
+def random_sparse_rows(rng, ncols, count):
+    """Sparse sorted rows with Fraction entries; every third one is a
+    combination of two earlier rows, so the list holds dependent rows."""
+    rows = []
+    for k in range(count):
+        if k % 3 == 2:
+            a, b = rng.sample(rows, 2)
+            rows.append(combine(a, Q(rng.randint(1, 5), rng.randint(1, 4)), b))
+        else:
+            cols = rng.sample(range(ncols), rng.randint(1, min(5, ncols)))
+            values = [Q(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3)) for _ in cols]
+            rows.append(sorted(zip(cols, values)))
+    return rows
+
+
+def test_fully_reduced_insertion_matches_lazy_insertion():
+    """``insert_reduced`` gives the rank, the pivot columns and the span of
+    ``insert``, and keeps every pivot row fully reduced."""
+    rng = random.Random(29)
+    verdicts = []
+    for trial in range(40):
+        ncols = rng.randint(4, 30)
+        rows = random_sparse_rows(rng, ncols, rng.randint(3, 3 * ncols // 2))
+        lazy, full = _Echelon(), _Echelon()
+        for row in rows:
+            assert lazy.insert(row) == full.insert_reduced(row), trial
+        assert lazy.rank == full.rank < len(rows)
+        assert set(lazy.pivots) == set(full.pivots)
+        for col, row in full.pivots.items():
+            assert row[0] == (col, 1)
+            assert not any(c in full.pivots for c, _ in row[1:]), trial
+        # random rows, mostly outside the span, and combinations inside it
+        probes = random_sparse_rows(rng, ncols, 10) + [[]]
+        probes += [combine(a, Q(-2, 3), b) for a, b in zip(rows, rows[1:])]
+        for probe in probes:
+            copy = _Echelon()
+            copy.pivots = dict(full.pivots)
+            in_span = not lazy.reduce(probe)
+            assert in_span == (not copy.insert_reduced(probe)), (trial, probe)
+            verdicts.append(in_span)
+    assert 0.2 < sum(verdicts) / len(verdicts) < 0.8
+
+
+def test_dimension_and_top_coefficient_on_an_n6_sample():
+    """Evidence at n = 6: dim against the column-strict count and the top
+    Hilbert coefficient against the Kostka number, on a seeded sample of
+    non-zero shape-cut quotients and two plain algebras (mu = 1^6)."""
+    started = time.monotonic()
+    pairs = [
+        (nu, mu) for nu in positive_compositions(6) for mu in partitions_of(6)
+        if is_nonzero(mu, nu)
+    ]
+    sample = random.Random(6).sample(pairs, 13)
+    plain = [(comp(1, 1, 1, 1, 1, 1), None), (comp(2, 2, 1, 1), None)]
+    for nu, mu in sample + plain:
+        pres = presentation(nu, mu)
+        lam = transpose(mu or Partition([1] * 6))
+        assert pres.dim() == count_column_strict(lam, nu), (nu, mu)
+        series = pres.hilbert()
+        assert series.degree() == quotient_top_degree(nu, mu or Partition([1] * 6))
+        assert series.coeff(series.degree()) == kostka(lam, nu), (nu, mu)
+    elapsed = time.monotonic() - started
+    assert elapsed < 20, f"n = 6 sample over budget: {elapsed:.1f}s"
