@@ -62,14 +62,14 @@ EXIT_WINDOW = 4
 
 DEFAULT_NMAX = 8
 # dim, hilbert, basis and act build quotients.  Cold, Fraction backend, 2
-# cores, one run each (ROADMAP.md): at n = 7 "dim --nu 2,2,2,1" takes
-# 17.6 s (167 MB), "--nu 1^7" 90.5 s (651 MB); at n = 8 "--nu 2,2,2,2"
-# had not finished after 150 s, nor "--nu 3,3,2" after 90 s.
+# cores, two runs each (BENCH_29.json): at n = 7 "dim --nu 2,2,2,1" takes
+# 6.0-7.5 s (167 MB), "--nu 1^7" 31-33 s (651 MB); at n = 8 "--nu 2,2,2,2"
+# had not finished after 150 s, nor "--nu 3,3,2" after 90 s (ROADMAP.md).
 QUOTIENT_NMAX = 7
 SUITE_NMAX = 5
 # Suites sweep every composition of n on the window.  The default window
-# at n = 5 holds 126 compositions, and "--suite all --n 5" takes 52.6 s
-# and 53 MB cold (Fraction backend, 2 cores, BENCH_25.json).
+# at n = 5 holds 126 compositions, and "--suite all --n 5" takes 46-53 s
+# and 48 MB cold (Fraction backend, 2 cores, two runs, BENCH_30.json).
 VERIFY_COMPOSITION_LIMIT = 250
 
 
@@ -238,8 +238,7 @@ def cmd_basis(args) -> int:
     if pres.is_zero_algebra:
         degrees = []
     elif args.degree is not None:
-        if args.degree < 0 or args.degree % 2:
-            raise InputError("degree must be even and non-negative")
+        # graded_basis refuses an odd or negative degree
         degrees = [args.degree]
     else:
         degrees = list(range(0, pres.top_degree + 1, 2))
@@ -456,9 +455,8 @@ def _suite_dims(n: int, window: tuple) -> list:
 
 
 def _suite_relations(n: int, window: tuple) -> list:
-    out = [relation_report(n, window)]
-    out.extend(relation_report(n, window, mu) for mu in partitions_of(n))
-    return out
+    # mu = 1^n among them is the plain algebra
+    return [relation_report(n, window, mu) for mu in partitions_of(n)]
 
 
 def _suite_ideal_invariance(n: int, window: tuple) -> list:

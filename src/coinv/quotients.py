@@ -9,9 +9,12 @@ the echelon of J's degree slice that pivots on the smallest column in
 the global graded-lex order.
 
 Each (nu, mu) has one standard presentation, ``presentation(nu, mu)``,
-on the plain or the e-form shape-cut (Tanisaki) generators.  The
-canonical basis and every normal form depend only on the ideal, not on
-the list that generates it, so the h-form list
+on the e-form shape-cut (Tanisaki) generators.  For mu = 1^n those are
+e_1..e_n of all variables, so the plain partial coinvariant algebra
+P_nu / Lambda+ is that quotient, and ``presentation(nu)`` is the same
+object as ``presentation(nu, 1^n)``.  The canonical basis and every
+normal form depend only on the ideal, not on the list that generates
+it, so the h-form list
 (``tanisaki_generators_h``) given to ``QuotientPresentation`` directly
 gives the same answers.
 
@@ -53,9 +56,9 @@ one the lazy ``insert`` gives.  The tagged echelons, a degree's and
 reducing them would spread the tag entries.
 
 Translates and zero-padded copies of nu share more than the algebra:
-``_layout_generators`` keeps one generator tuple per (shape, block
-layout), and the generator checks run once per list, when ``_graded``
-builds its algebra.
+``_layout_generators`` keeps one e-form generator tuple per (shape,
+block layout), and the generator checks run once per list, when
+``_graded`` builds its algebra.
 
 An invariant polynomial's orbit-sum coordinates are its canonical terms,
 since each orbit sum has coefficient one on its canonical monomial.
@@ -85,6 +88,7 @@ from .polynomials import (
 from .reporting import Report
 from .shapes import (
     Composition,
+    Partition,
     dominates,
     sort_to_partition,
     transpose,
@@ -920,49 +924,54 @@ class QuotientElement:
 
 
 def presentation(nu: Composition, mu=None) -> QuotientPresentation:
-    """The cached standard presentation.
+    """The cached standard presentation, on the e-form shape-cut generators.
 
-    With ``mu`` absent this is the plain partial coinvariant algebra;
-    otherwise the shape-cut quotient on the e-form generators.  Other
-    generator lists go to ``QuotientPresentation`` directly.
+    With ``mu`` absent this is the plain partial coinvariant algebra,
+    which is the shape-cut quotient of mu = 1^n and the same object.
+    Other generator lists go to ``QuotientPresentation`` directly.
     """
     return _standard_presentation(
         nu, None if mu is None else sort_to_partition(mu)
     )
 
 
+def _shape(mu, n: int) -> Partition:
+    """The shape mu as a Partition, an absent shape read as 1^n."""
+    return sort_to_partition((1,) * n if mu is None else mu)
+
+
 # Unbounded: one tuple per (shape, block layout), so it grows with the
 # pairs a run visits, less their translates and zero-padded copies.  It
-# holds 65 entries after ``verify --suite all --n 4`` (cold, in process),
-# against 269 presentations.
+# holds 57 entries after ``verify --suite all --n 4`` (cold, in process),
+# against 291 keys of ``_standard_presentation``.
 @lru_cache(maxsize=None)
-def _layout_generators(lam, blocks: tuple, n: int) -> tuple:
-    """The standard generators of every composition with these blocks.
+def _layout_generators(mu: Partition, blocks: tuple, n: int) -> tuple:
+    """The e-form generators of every composition with these blocks.
 
-    ``lam`` is transpose(mu), or None for the plain algebra.  Both lists
-    depend on nu only through its non-empty blocks, so they are built on
-    the composition of the block sizes, and translates and zero-padded
-    copies of nu share one tuple.
+    The list depends on nu only through its non-empty blocks, so it is
+    built on the composition of the block sizes, and translates and
+    zero-padded copies of nu share one tuple.
     """
     nu = Composition(1, [stop - start for start, stop in blocks])
-    if lam is None:
-        return tuple(coinvariant_generators(nu))
-    return tuple(tanisaki_generators_e(transpose(lam), nu))
+    return tuple(tanisaki_generators_e(mu, nu))
 
 
 # Unbounded: one presentation per (weight, shape) pair, and the
 # presentations on one block layout and ideal share one generator tuple
 # and one ``_graded`` algebra, so it grows with the pairs a run visits.
-# It holds 269 entries after ``verify --suite all --n 4`` and 1 311 after
+# A plain call's key (nu, None) holds the presentation of (nu, 1^n).  It
+# holds 291 entries after ``verify --suite all --n 4`` and 1 402 after
 # ``--n 5`` (cold, in process).
 @lru_cache(maxsize=None)
 def _standard_presentation(nu: Composition, mu):
-    lam = None if mu is None else transpose(mu)
-    gens = _layout_generators(lam, _blocks_of(nu), nu.n)
     if mu is None:
-        return QuotientPresentation(nu, gens, label=f"coinvariants of {nu!r}")
+        # kept under both keys, so a plain call stays one memo hit and
+        # builds no Partition
+        return _standard_presentation(nu, _shape(None, nu.n))
+    gens = _layout_generators(mu, _blocks_of(nu), nu.n)
     return QuotientPresentation(
-        nu, gens, mu=mu, label=f"shape-cut quotient {lam.parts} over {nu!r}"
+        nu, gens, mu=mu,
+        label=f"shape-cut quotient {transpose(mu).parts} over {nu!r}",
     )
 
 

@@ -20,7 +20,7 @@ from coinv.cli import (
     parse_partition,
     parse_window,
 )
-from coinv.shapes import Composition, Partition
+from coinv.shapes import Composition, Partition, partitions_of
 from coinv.tableaux import IntPoly
 
 
@@ -409,6 +409,16 @@ def test_verify_traces_and_relations(capsys):
     code, out, _ = run(capsys, ["verify", "--suite", "relations", "--n", "2"])
     assert code == 0
     assert "serre_relations" in out
+
+
+def test_relations_suite_checks_each_shape_once():
+    # the plain algebra is the shape-cut quotient of 1^n, checked once
+    reports = cli.SUITES["relations"](3, (1, 3))
+    assert [r.title for r in reports] == [
+        f"gl relations, n=3, window=(1, 3), shape {mu.parts}"
+        for mu in partitions_of(3)
+    ]
+    assert all(r.passed for r in reports)
 
 
 def test_verify_all_reports_center_table(capsys):

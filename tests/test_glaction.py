@@ -460,16 +460,28 @@ def test_family_refuses_components_of_other_presentations():
     window, mu = (1, 2), Partition([1, 1])
     nu = comp(1, 1)
     h_form = QuotientPresentation(nu, tanisaki_generators_h(mu, nu), mu=mu)
-    # the shape-cut quotient at 1,1 with its h-form list, and the plain one
-    for foreign in (h_form.one(), presentation(nu).one()):
-        assert foreign.pres is not presentation(nu, mu)
-        with pytest.raises(ValueError, match=r"weight Composition\(1, \[1, 1\]\)"):
-            WeightFamily(2, window, mu, {nu: foreign})
+    # the shape-cut quotient at 1,1 with its h-form list
+    foreign = h_form.one()
+    assert foreign.pres is not presentation(nu, mu)
+    with pytest.raises(ValueError, match=r"weight Composition\(1, \[1, 1\]\)"):
+        WeightFamily(2, window, mu, {nu: foreign})
     # the same element in the standard presentation adds to an image there
     lowered = WeightFamily.unit(comp(2), window, mu).apply("F", 1)
     total = WeightFamily(2, window, mu, {nu: presentation(nu, mu).one()}) + lowered
     assert total == WeightFamily.unit(nu, window, mu) + lowered
     assert not total.is_zero
+
+
+def test_plain_family_is_the_regular_shape_family():
+    # the plain algebra is the shape-cut quotient of 1^n, so an absent
+    # shape and 1^n are one setting
+    for nu in (comp(2), comp(1, 1), comp(2, 1), Composition(0, [1, 0, 2])):
+        window = (min(1, nu.lo), max(nu.n, nu.hi))
+        plain = WeightFamily.unit(nu, window)
+        regular = WeightFamily.unit(nu, window, [1] * nu.n)
+        assert plain == regular
+        assert plain.mu == Partition([1] * nu.n)
+        assert plain + regular == plain * 2
 
 
 def test_family_rejects_weight_outside_window():
@@ -487,7 +499,7 @@ def test_family_linear_algebra():
     # families combine only over one window and one shape
     for other in (
         WeightFamily.unit(comp(2), (1, 3)),
-        WeightFamily.unit(comp(2), (1, 2), comp(1, 1)),
+        WeightFamily.unit(comp(2), (1, 2), comp(2)),
     ):
         assert wf != other
         with pytest.raises(ValueError, match="different settings"):
@@ -613,6 +625,12 @@ def test_relation_report_accepts_shape_as_list():
     assert rep.title.endswith("shape (1, 1)")
 
 
+def test_relation_report_names_the_regular_shape_when_absent():
+    assert relation_report(2, (1, 2)).title == (
+        "gl relations, n=2, window=(1, 2), shape (1, 1)"
+    )
+
+
 def test_relation_report_small():
     for n in (2, 3):
         rep = relation_report(n, (1, n))
@@ -670,6 +688,44 @@ def test_relation_report_can_fail(monkeypatch, name, mutant, broken):
     monkeypatch.setattr(glaction, name, mutant(getattr(glaction, name)))
     rep = relation_report(3, (1, 3))
     assert {c.name for c in rep.checks if not c.passed} == broken
+
+
+def _F_doubled_where(cond):
+    """F_i doubled on the source weights nu with cond(i, nu)."""
+
+    def mutant(true_step):
+        def step(op, i, nu, z):
+            res = true_step(op, i, nu, z)
+            if op == "F" and res is not None and cond(i, nu):
+                return res[0], res[1] * 2
+            return res
+
+        return step
+
+    return mutant
+
+
+@pytest.mark.parametrize(
+    "cond, broken",
+    [
+        # F_{i+2} moves the part that scales F_i, and F_i none of the part
+        # that scales F_{i+2}; the steps next to i leave nu[i + 3] alone
+        (lambda i, nu: nu[i + 3] > 0, "distant_EE_FF_commute"),
+        # F_i and the steps two or more away keep nu[i] + nu[i + 1]; the
+        # steps next to i change it
+        (lambda i, nu: (nu[i] + nu[i + 1]) % 2 == 1, "serre_relations"),
+    ],
+)
+def test_relation_report_distant_and_serre_checks_can_fail(monkeypatch, cond, broken):
+    # a weight-dependent scale of F is no change of basis, so [E, F] fails
+    # too; D_i only reads the weight, so [D, E] and [D, F] still hold
+    mutant = _F_doubled_where(cond)
+    monkeypatch.setattr(glaction, "_apply_component", mutant(glaction._apply_component))
+    # distant indices need a window of width 4 or more
+    rep = relation_report(2, (1, 4))
+    assert {c.name for c in rep.checks if not c.passed} == {
+        "commutator_EF_is_weight_difference", broken,
+    }
 
 
 def test_ideal_invariance_small():

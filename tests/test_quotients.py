@@ -870,6 +870,16 @@ def test_quotient_identity_report_small():
     ]
 
 
+def test_quotient_identity_report_can_fail(monkeypatch):
+    # 2 h_1(x1) + e_1(x2, x3) is x1 modulo e_1, not zero
+    true_h = quotients.h_sym
+    monkeypatch.setattr(quotients, "h_sym", lambda *args: true_h(*args) * 2)
+    rep = quotient_identity_report(3, 2)
+    assert {c.name for c in rep.checks if not c.passed} == {
+        "h_matches_signed_e_of_complement_in_quotient",
+    }
+
+
 # ----------------------------------------------------------------------
 # the coinvariant algebra R = C[x]/(Lambda+)
 
@@ -975,6 +985,28 @@ def test_standard_presentations_contain_lambda_plus():
             assert e_all <= gens or h_all <= gens, (nu, mu, form)
             checked += 1
     assert checked == 2363
+    assert time.monotonic() - started < 10
+
+
+def test_plain_algebra_is_the_shape_cut_quotient_of_the_regular_shape():
+    """For mu = 1^n the e-form list is e_1..e_n of all variables, so the
+    plain algebra P_nu / Lambda+ is that shape-cut quotient, one object."""
+    started = time.monotonic()
+    checked = 0
+    for n in range(0, 8):
+        regular = Partition([1] * n)
+        for window in ((1, max(n, 1)), (0, n + 1)):
+            for nu in compositions_of(n, window):
+                assert tanisaki_generators_e(regular, nu) == (
+                    coinvariant_generators(nu)
+                ), nu
+                if n <= 5:
+                    pres = presentation(nu)
+                    assert pres is presentation(nu, [1] * n), nu
+                    assert pres is presentation(nu, Composition(1, [1] * n)), nu
+                    assert pres.mu == regular
+                checked += 1
+    assert checked == 11142
     assert time.monotonic() - started < 10
 
 

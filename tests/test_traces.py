@@ -1,5 +1,6 @@
 import pytest
 
+import coinv.traces as traces
 from coinv.glaction import (
     KeySituation,
     apply_E_oracle,
@@ -264,3 +265,88 @@ def test_adjunction_report_small():
         "middle_multiplication_side_independent",
         "duality_map_base_linear",
     ]
+
+
+def _doubled(fn):
+    return lambda *args, **kwargs: fn(*args, **kwargs) * 2
+
+
+def _doubled_on_sums(push_poly):
+    # the first slot of a triangle pushes x_k^r * x_k^t, one monomial; the
+    # second pushes x_k^t times a unit's left factor, a sum once a >= 2
+    def push_poly_mutant(ks, f, side):
+        out = push_poly(ks, f, side)
+        return out * 2 if len(f.terms) > 1 else out
+
+    return push_poly_mutant
+
+
+def _doubled_left_factor(multiply_middle):
+    def mutant(self, z, *, factor="right"):
+        out = multiply_middle(self, z, factor=factor)
+        if factor == "left":
+            doubled = {rs: c * 2 for rs, c in out.coeffs.items()}
+            out = PowerBasisTensor(out.ks, out.shape, doubled)
+        return out
+
+    return mutant
+
+
+def _doubled_off_normal_forms(true_delta):
+    # the isomorphism checks pair only normal forms of the refined
+    # quotient; the linearity check pairs x_k * c, which need not be one
+    def mutant(ks, g):
+        out = true_delta(ks, g)
+        g = traces._as_poly(g)
+        if presentation(ks.rho).normal_form(g).rep != g:
+            out = ModuleHom(ks, [v * 2 for v in out.values])
+        return out
+
+    return mutant
+
+
+@pytest.mark.parametrize(
+    "name, broken",
+    [
+        ("trace_F", "trace_F_matches_lowering_oracle"),
+        ("trace_E", "trace_E_matches_raising_oracle"),
+    ],
+)
+def test_trace_map_report_can_fail(monkeypatch, name, broken):
+    monkeypatch.setattr(traces, name, _doubled(getattr(traces, name)))
+    rep = trace_map_report(3, (1, 3))
+    assert {c.name for c in rep.checks if not c.passed} == {broken}
+
+
+@pytest.mark.parametrize(
+    "owner, name, mutant, broken",
+    [
+        (traces, "delta_inv", _doubled, {"duality_map_is_isomorphism"}),
+        # the counits of both tensors push with the same function
+        (traces, "push_poly", _doubled, {"triangle_identities"}),
+        (
+            PowerBasisTensor,
+            "multiply_middle",
+            _doubled_left_factor,
+            {"middle_multiplication_side_independent"},
+        ),
+        (
+            traces,
+            "delta",
+            _doubled_off_normal_forms,
+            {"duality_map_base_linear"},
+        ),
+    ],
+)
+def test_adjunction_report_can_fail(monkeypatch, owner, name, mutant, broken):
+    monkeypatch.setattr(owner, name, mutant(getattr(owner, name)))
+    rep = adjunction_report(3, (1, 3))
+    assert {c.name for c in rep.checks if not c.passed} == broken
+
+
+@pytest.mark.parametrize("mutant", [_doubled, _doubled_on_sums])
+def test_triangle_identity_check_can_fail(monkeypatch, mutant):
+    # doubling every pushforward breaks the first slot; doubling only the
+    # pushforwards of sums leaves it and breaks the second
+    monkeypatch.setattr(traces, "push_poly", mutant(traces.push_poly))
+    assert not triangle_identity_check(KeySituation(1, comp(3)))
