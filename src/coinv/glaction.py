@@ -208,8 +208,10 @@ def _power_system(m: int, last: bool, deg: int):
     the refined canonical exponents.  The entry of y^r m_lam at column e
     is 1 exactly when e[pos] >= r and e - r at pos rearranges to lam, so
     rows come from exponents alone.  Unknown u carries one tag entry 1
-    at column ncols + u; freeness puts every pivot on a slice column.
-    Returns (echelon, unknowns, col_of), unknown u being the pair (r, lam).
+    at column ncols + u; freeness puts every pivot on a slice column, so
+    no row reduces to tag entries alone.  The echelon is fully reduced,
+    as every ``_Echelon`` is.  Returns (echelon, unknowns, col_of),
+    unknown u being the pair (r, lam).
     """
     pos = m - 1 if last else 0
     cut = m - 1 if last else 1
@@ -225,11 +227,18 @@ def _power_system(m: int, last: bool, deg: int):
         for r in range(min(m - 1, e[pos]) + 1):
             moved = e[:pos] + (e[pos] - r,) + e[pos + 1 :]
             cols_of_unknown[(r, tuple(sorted(moved, reverse=True)))].append(j)
-    ech = _Echelon()
     ncols = len(col_of)
-    for u, unknown in enumerate(unknowns):
-        row = [(j, 1) for j in sorted(cols_of_unknown[unknown])]
-        ech.insert(row + [(ncols + u, 1)])
+    rows = [
+        [(j, 1) for j in sorted(cols_of_unknown[unknown])] + [(ncols + u, 1)]
+        for u, unknown in enumerate(unknowns)
+    ]
+    # A fully reduced echelon does not depend on the order of its rows.
+    # Largest leading column first, a new pivot mostly lies left of every
+    # row held and clears none: a quarter of the time, or less, for the
+    # systems of m = 5-6 and degrees 10-12.
+    ech = _Echelon()
+    for row in sorted(rows, reverse=True):
+        ech.insert(row)
     return ech, tuple(unknowns), col_of
 
 

@@ -44,16 +44,12 @@ Coordinates are read one way, by ``_Echelon.solve``: a degree keeps the
 rows of J R and its basis columns' tagged rows, and a normal form is one
 reduction on them.  ``glaction`` reads power-basis coordinates so too.
 
-Three echelons only answer rank questions, and they are kept fully
-reduced (``_Echelon.insert_reduced``): the echelon of (JR)_d, the span
-echelon of W_d and the test echelon that decides each scanned orbit
-column in ``_r_slice``.  Most rows they see are dependent, and a fully
-reduced echelon clears such a row in one pass.  The canonical basis
-does not change: a span has one set of leading columns however its rows
-are reduced, so every pivot set, and every verdict on a column, is the
-one the lazy ``insert`` gives.  The tagged echelons, a degree's and
-``glaction``'s, stay lazy and get a row only for a kept column: fully
-reducing them would spread the tag entries.
+Every ``_Echelon`` is kept fully reduced, by one insertion rule, so a
+row, most often a dependent one, is reduced in one pass.  A degree's
+tagged echelon both decides each scanned orbit column in ``_r_slice``,
+refusing a row that reduces to tag entries alone, and reads the
+coordinates.  The refusal is decided on the untagged columns alone, so
+the many dependent rows of a scan do no arithmetic on tag entries.
 
 Translates and zero-padded copies of nu share more than the algebra:
 ``_layout_generators`` keeps one e-form generator tuple per (shape,
@@ -72,6 +68,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import sys
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
@@ -323,32 +320,31 @@ def tanisaki_generators_e(mu, nu: Composition) -> list:
 # sparse echelon rows: sorted (column, coefficient) lists
 
 
-def _row_sub(a: list, coef, b: list) -> list:
-    """a - coef*b for sorted sparse rows."""
-    out = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        ca, cb = a[i][0], b[j][0]
-        if ca < cb:
-            out.append(a[i])
-            i += 1
-        elif ca > cb:
-            out.append((cb, -coef * b[j][1]))
-            j += 1
-        else:
-            v = a[i][1] - coef * b[j][1]
-            if v != 0:
-                out.append((ca, v))
-            i += 1
-            j += 1
-    out.extend(a[i:])
-    for k in range(j, len(b)):
-        out.append((b[k][0], -coef * b[k][1]))
-    return out
+def _row_minus(row: list, terms: list, stop: int = sys.maxsize) -> list:
+    """row - sum coef*other over the (coef, other) pairs, as a sorted row.
+
+    Only the columns below stop are computed and returned.
+    """
+    acc = dict(row)
+    get = acc.get
+    for coef, other in terms:
+        for c, v in other:
+            if c >= stop:
+                break
+            acc[c] = get(c, 0) - coef * v
+    return sorted([cv for cv in acc.items() if cv[1] and cv[0] < stop])
 
 
 class _Echelon:
-    """Incremental sparse echelon with smallest-column pivoting."""
+    """Incremental sparse echelon with smallest-column pivoting, fully reduced.
+
+    Every pivot row is 1 at its pivot column and 0 at every other pivot
+    column, so ``reduce`` clears a row of all its pivot columns in one
+    pass.  The pivot set is the span's own: a fixed span has one set of
+    leading columns, the smallest columns of its non-zero vectors, so the
+    canonical basis, the non-pivot columns, does not depend on the order
+    or the form of the rows inserted.
+    """
 
     __slots__ = ("pivots",)
 
@@ -359,66 +355,43 @@ class _Echelon:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def insert(self, row: list) -> bool:
-        """Reduce the leading entry until it lands on a free column."""
-        while row:
-            col, coef = row[0]
-            piv = self.pivots.get(col)
-            if piv is None:
-                if coef != 1:
-                    inv = QONE / coef
-                    row = [(c, _coef(v * inv)) for c, v in row]
-                self.pivots[col] = row
-                return True
-            row = _row_sub(row, coef, piv)
-        return False
+    def insert(self, row: list, ncols: int | None = None) -> bool:
+        """Add a row; False when it reduces to zero, or to tag entries alone.
 
-    def insert_reduced(self, row: list) -> bool:
-        """``insert`` for an echelon kept fully reduced; False for a dependent row.
-
-        Every pivot row is 1 at its pivot column and 0 at every other
-        pivot column.  So the row is cleared of all its pivot columns in
-        one pass, each pivot row subtracted once with the row's own entry
-        there, and a new pivot row is cleared from the rows already held.
-        The pivot set is the one ``insert`` gives: a fixed span has one
-        set of leading columns, the smallest columns of its non-zero
-        vectors, however its rows are reduced.  So the canonical basis,
-        the non-pivot columns, does not change; only the rows do.
+        Columns from ncols on, when it is given, are tags (see ``solve``):
+        a row left with tags alone is a combination of the rows held, and
+        that is decided on the columns below ncols, its tag entries being
+        reduced only for a row that is kept.  A new pivot row is
+        normalised to 1 at its pivot and cleared from the rows already
+        held.
         """
-        pivots = self.pivots
-        acc = dict(row)
-        for col, coef in row:
-            piv = pivots.get(col)
-            if piv is not None:
-                for c, v in piv:
-                    acc[c] = acc.get(c, 0) - coef * v
-        red = sorted((c, v) for c, v in acc.items() if v != 0)
+        red = self.reduce(row, ncols)
         if not red:
             return False
+        if ncols is not None:
+            red = self.reduce(row)
         col, coef = red[0]
         if coef != 1:
             inv = QONE / coef
             red = [(c, _coef(v * inv)) for c, v in red]
+        pivots = self.pivots
         for key, piv in pivots.items():
             if key < col:
                 i = bisect.bisect_left(piv, (col,))
                 if i < len(piv) and piv[i][0] == col:
-                    pivots[key] = _row_sub(piv, piv[i][1], red)
+                    pivots[key] = _row_minus(piv, [(piv[i][1], red)])
         pivots[col] = red
         return True
 
-    def reduce(self, row: list) -> list:
-        """Canonical representative with no pivot columns remaining."""
-        out = []
-        while row:
-            col, coef = row[0]
-            piv = self.pivots.get(col)
-            if piv is None:
-                out.append(row[0])
-                row = row[1:]
-            else:
-                row = _row_sub(row, coef, piv)
-        return out
+    def reduce(self, row: list, ncols: int | None = None) -> list:
+        """Canonical representative with no pivot columns remaining.
+
+        When ncols is given, only its columns below ncols, computed from
+        the rows' entries there alone.
+        """
+        pivots = self.pivots
+        terms = [(coef, pivots[col]) for col, coef in row if col in pivots]
+        return _row_minus(row, terms, sys.maxsize if ncols is None else ncols)
 
     def solve(self, row: list, ncols: int) -> tuple:
         """Coordinates of an untagged row on the tagged rows.
@@ -563,7 +536,7 @@ def _r_ideal(n: int, gens: tuple, d: int) -> _Echelon:
     for row in rows:
         if ech.rank == full:
             break
-        ech.insert_reduced(row)
+        ech.insert(row)
     return ech
 
 
@@ -571,10 +544,11 @@ class _DegreeData(NamedTuple):
     """One degree of a quotient, computed in R.
 
     ``exps`` are the canonical exponents of the orbit-sum columns and
-    ``basis_cols`` the canonical basis columns.  ``echelon`` holds (JR)_d
-    and the basis columns' rows, column c's row tagged at n! + c; its
-    rows span W_d (see ``_r_slice``), so ``echelon.solve(row, n!)`` reads
-    an invariant's coordinates on the basis columns off its row in R.
+    ``basis_cols`` the canonical basis columns.  ``echelon``, fully
+    reduced, holds (JR)_d and the basis columns' rows, column c's row
+    tagged at n! + c; its rows span W_d (see ``_r_slice``), so
+    ``echelon.solve(row, n!)`` reads an invariant's coordinates on the
+    basis columns off its row in R.
     """
 
     exps: tuple
@@ -663,13 +637,16 @@ def _r_slice(alg: _Graded, d: int) -> _DegreeData:
     W_d, the image of P_nu in R_d plus (JR)_d, is (JR)_d plus, for d > 0,
     every blockwise e_r times a basis vector of degree d - r: the
     blockwise e_r generate P_nu as an algebra, and e_r (JR) lies in JR.
-    Orbit columns are then scanned from the largest down; a column is a
-    basis column when its normal form is independent of (JR)_d and the
-    basis columns kept so far, and the scan stops once they span W_d.
-    That is the non-pivot set of the orbit echelon: column c is a pivot
-    there iff its orbit sum lies in the span of the larger columns plus J.
-    Only the basis columns' tagged rows are kept: with (JR)_d they span
-    W_d, so ``_Echelon.solve`` reads any coordinates off them.
+    Orbit columns are then scanned from the largest down, each inserted
+    into one echelon that starts from (JR)_d with its tag entry at
+    n! + c; a column is a basis column when its row does not reduce to
+    tag entries alone, that is when its normal form is independent of
+    (JR)_d and the basis columns kept so far, and the scan stops once
+    they span W_d.  That is the non-pivot set of the orbit echelon:
+    column c is a pivot there iff its orbit sum lies in the span of the
+    larger columns plus J.  Only the basis columns' tagged rows are kept:
+    with (JR)_d they span W_d, so ``_Echelon.solve`` reads any
+    coordinates off them.
 
     High degrees cost nothing.  R_d is zero above n(n-1)/2, so those
     degrees return at once.  Below it, the spanning rows of degree d
@@ -696,22 +673,19 @@ def _r_slice(alg: _Graded, d: int) -> _DegreeData:
     span = _Echelon()
     span.pivots = dict(ideal.pivots)
     for row in spanning:
-        span.insert_reduced(row)
+        span.insert(row)
     if span.rank == ideal.rank:
         return _EMPTY_DEGREE
     exps = _canonical_exps(blocks, n, d)
     tag = math.factorial(n)
-    test = _Echelon()
-    test.pivots = dict(ideal.pivots)
     ech = _Echelon()
     ech.pivots = dict(ideal.pivots)
     basis = []
     for c in reversed(range(len(exps))):
-        if test.rank == span.rank:
+        if ech.rank == span.rank:
             break
         row = _nf_row(n, _orbit_poly(blocks, n, exps[c]))
-        if test.insert_reduced(row):
-            ech.insert(row + [(tag + c, 1)])
+        if ech.insert(row + [(tag + c, 1)], tag):
             basis.append(c)
     return _DegreeData(exps, ech, tuple(sorted(basis)))
 
